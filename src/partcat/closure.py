@@ -20,6 +20,25 @@ absence from the category (and no general decision procedure can exist).
 
 The same engine runs over colored and spatial partitions, parameterized by
 the operation set and base partitions of the variant.
+
+Only one pair per symmetry orbit is composed or tensored. With R the
+vertical reflection and I the involution,
+
+    R(compose(p, q)) == compose(R p, R q)
+    I(compose(p, q)) == compose(I q, I p)
+    R(tensor(p, q)) == tensor(R q, R p)
+    I(tensor(p, q)) == tensor(I p, I q)
+
+for every variant, and R, I are commuting involutions. So the results of
+the four pairs in an orbit are the images under 1, R, I and RI of one
+result. Members are numbered in insertion order, a total order fixed for
+the run, and a pair is evaluated only when its pair of numbers is
+lexicographically least in its orbit. This is exact: the member set is
+closed under R and I, so the least pair of every orbit consists of members
+and is evaluated once its later element is popped; the unary step then
+adds the other three results; and R and I preserve sizes, so every pair of
+an orbit passes or fails the bound test together. The reference engine
+without this quotient is :func:`partcat.oracles.saturate_reference`.
 """
 
 from __future__ import annotations
@@ -29,12 +48,13 @@ from collections.abc import Iterable
 
 from . import ops as _ops
 from . import variants as _v
-from .errors import BoundError, LevelMismatchError
+from .errors import BoundError, LevelMismatchError, VariantMismatchError
 from .partition import IDENTITY, PAIR, Partition, canonical_sort_key, normalize
 
 
 class _PlainOps:
     kind = "plain"
+    value_type = Partition
 
     @staticmethod
     def size(p):
@@ -56,10 +76,11 @@ class _PlainOps:
     def lower_key(p):
         return p.lower_count
 
+    involution = staticmethod(_ops.involution)
+    reflect = staticmethod(_ops.reflect_vertical)
+
     @staticmethod
-    def unary(p):
-        yield _ops.involution(p)
-        yield _ops.reflect_vertical(p)
+    def rotations(p):
         if p.upper_count:
             yield _ops.rotate(p, "top-left")
             yield _ops.rotate(p, "top-right")
@@ -81,6 +102,7 @@ class _PlainOps:
 
 class _ColoredOps:
     kind = "colored"
+    value_type = _v.ColoredPartition
 
     @staticmethod
     def size(p):
@@ -102,10 +124,11 @@ class _ColoredOps:
     def lower_key(p):
         return (p.base.lower_count, p.lower_colors)
 
+    involution = staticmethod(_v.colored_involution)
+    reflect = staticmethod(_v.colored_reflect)
+
     @staticmethod
-    def unary(p):
-        yield _v.colored_involution(p)
-        yield _v.colored_reflect(p)
+    def rotations(p):
         if p.base.upper_count:
             yield _v.colored_rotate(p, "top-left")
             yield _v.colored_rotate(p, "top-right")
@@ -127,6 +150,7 @@ class _ColoredOps:
 
 class _SpatialOps:
     kind = "spatial"
+    value_type = _v.SpatialPartition
 
     @staticmethod
     def size(p):
@@ -148,10 +172,11 @@ class _SpatialOps:
     def lower_key(p):
         return (p.levels, p.lower_points)
 
+    involution = staticmethod(_v.spatial_involution)
+    reflect = staticmethod(_v.spatial_reflect)
+
     @staticmethod
-    def unary(p):
-        yield _v.spatial_involution(p)
-        yield _v.spatial_reflect(p)
+    def rotations(p):
         if p.upper_points:
             yield _v.spatial_rotate(p, "top-left")
             yield _v.spatial_rotate(p, "top-right")
@@ -240,17 +265,19 @@ class ClosureSet:
 
 
 def _saturate(seed, bound, ops):
-    members = set()
+    members = {}  # member -> insertion index, the order that picks orbit representatives
     queue = []
 
     def add(x):
         if x not in members:
-            members.add(x)
+            members[x] = len(members)
             queue.append(x)
 
     for s in seed:
         add(s)
 
+    # Popped members as entries (y, b, rb, ib, rib): y with the indices of
+    # y, R y, I y and R I y, where R reflects and I is the involution.
     by_size = defaultdict(list)
     as_bottom = defaultdict(list)  # indexed by the interface of the upper row
     as_top = defaultdict(list)  # indexed by the interface of the lower row
@@ -261,34 +288,62 @@ def _saturate(seed, bound, ops):
 
     while queue:
         x = queue.pop()
-        sx = size(x)
-        by_size[sx].append(x)
-        as_bottom[ops.upper_key(x)].append(x)
-        as_top[ops.lower_key(x)].append(x)
-
-        for r in ops.unary(x):
+        inv = ops.involution(x)
+        ref = ops.reflect(x)
+        ref_inv = ops.reflect(inv)
+        for r in (inv, ref, ref_inv, *ops.rotations(x)):
             add(r)
+        ex = (x, members[x], members[ref], members[inv], members[ref_inv])
+        _, a, ra, ia, ria = ex
 
+        sx = size(x)
+        by_size[sx].append(ex)
+        as_bottom[ops.upper_key(x)].append(ex)
+        as_top[ops.lower_key(x)].append(ex)
+
+        # Each pair is evaluated only if its indices are the least in its
+        # orbit: (p, q) is tensored if it is below (R q, R p), (I p, I q)
+        # and (R I q, R I p), composed if below (R p, R q), (I q, I p) and
+        # (R I q, R I p).
         for s in range(bound - sx + 1):
-            bucket = by_size.get(s)
-            if not bucket:
-                continue
-            for y in bucket:
-                add(tensor(x, y))
-                if y is not x:
+            for ey in by_size.get(s, ()):
+                y, b, rb, ib, rib = ey
+                if (a, b) <= (rb, ra) and (a, b) <= (ia, ib) and (a, b) <= (rib, ria):
+                    add(tensor(x, y))
+                if (
+                    ey is not ex
+                    and (b, a) <= (ra, rb) and (b, a) <= (ib, ia) and (b, a) <= (ria, rib)
+                ):
                     add(tensor(y, x))
 
         # x as the top factor against every registered bottom, and the
         # other way around; the x-with-x pair is covered by the first loop.
-        for bottom in as_bottom.get(ops.lower_key(x), ()):
-            if compose_size(bottom, x) <= bound:
+        for bottom, b, rb, ib, rib in as_bottom.get(ops.lower_key(x), ()):
+            if (
+                compose_size(bottom, x) <= bound
+                and (b, a) <= (rb, ra) and (b, a) <= (ia, ib) and (b, a) <= (ria, rib)
+            ):
                 add(compose(bottom, x))
-        for top in as_top.get(ops.upper_key(x), ()):
-            if top is x:
-                continue
-            if compose_size(x, top) <= bound:
+        for et in as_top.get(ops.upper_key(x), ()):
+            top, b, rb, ib, rib = et
+            if (
+                et is not ex
+                and compose_size(x, top) <= bound
+                and (a, b) <= (ra, rb) and (a, b) <= (ib, ia) and (a, b) <= (rib, ria)
+            ):
                 add(compose(x, top))
-    return members
+    return members.keys()
+
+
+def _checked(generators, ops):
+    generators = list(generators)
+    for g in generators:
+        if not isinstance(g, ops.value_type):
+            raise VariantMismatchError(
+                f"{ops.kind} closure needs {ops.value_type.__name__} generators, "
+                f"got {type(g).__name__}"
+            )
+    return generators
 
 
 def _construct(generators, bound, ops, bases):
@@ -313,7 +368,7 @@ def construct_closure(generators: Iterable[Partition], bound: int) -> ClosureSet
     always terminates; see :class:`ClosureSet` for what membership in the
     result does and does not mean.
     """
-    return _construct(list(generators), bound, _PLAIN, [IDENTITY, PAIR])
+    return _construct(_checked(generators, _PLAIN), bound, _PLAIN, [IDENTITY, PAIR])
 
 
 def construct_colored_closure(generators, bound: int) -> ClosureSet:
@@ -322,7 +377,9 @@ def construct_colored_closure(generators, bound: int) -> ClosureSet:
     Seeds the four colored base partitions; composition is gated on
     matching interface colors.
     """
-    return _construct(list(generators), bound, _COLORED, _v.colored_base_partitions())
+    return _construct(
+        _checked(generators, _COLORED), bound, _COLORED, _v.colored_base_partitions()
+    )
 
 
 def construct_spatial_closure(generators, bound: int, levels: int | None = None) -> ClosureSet:
@@ -332,7 +389,7 @@ def construct_spatial_closure(generators, bound: int, levels: int | None = None)
     `levels` when no generators are given. Sizes count points of the level
     structure, not flattened points.
     """
-    generators = list(generators)
+    generators = _checked(generators, _SPATIAL)
     for g in generators:
         if levels is None:
             levels = g.levels

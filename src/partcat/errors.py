@@ -25,6 +25,10 @@ class LevelStructureError(PartitionError):
     """Spatial partition whose flattened rows are not divisible by the level count."""
 
 
+class VariantMismatchError(PartitionError):
+    """A value of one partition variant given where another is expected."""
+
+
 class EmptyRowError(PartitionError):
     """Rotation attempted from a row that has no points."""
 

@@ -1,13 +1,15 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
 Everything here is deliberately naive: enumeration by restricted growth
-strings, structural predicates checked position by position, and a
-composition that merges blocks to a fixpoint instead of using union-find or
-graph search. Sizes are guarded so a typo cannot trigger an explosion.
+strings, structural predicates checked position by position, a composition
+that merges blocks to a fixpoint instead of using union-find or graph
+search, and a closure worklist that applies every operation to every pair
+of members. Sizes are guarded so a typo cannot trigger an explosion.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from math import comb
 
 from .errors import EnumerationLimitError, SizeMismatchError
@@ -178,3 +180,61 @@ def reference_counts(size: int) -> dict[str, int]:
         counts["noncrossing"] += sum(1 for x in parts if is_noncrossing(x))
         counts["pair"] += sum(1 for x in parts if is_pair_partition(x))
     return counts
+
+
+def saturate_reference(seed, bound, ops):
+    """Bounded closure of `seed`, every operation applied to every member pair.
+
+    The worklist engine the symmetry-quotiented `closure._saturate` replaced,
+    kept as its differential reference. `ops` is one of the operation tables
+    of :mod:`partcat.closure`; nothing is skipped by symmetry.
+    """
+    members = set()
+    queue = []
+
+    def add(x):
+        if x not in members:
+            members.add(x)
+            queue.append(x)
+
+    for s in seed:
+        add(s)
+
+    by_size = defaultdict(list)
+    as_bottom = defaultdict(list)  # indexed by the interface of the upper row
+    as_top = defaultdict(list)  # indexed by the interface of the lower row
+    size = ops.size
+    tensor = ops.tensor
+    compose = ops.compose
+    compose_size = ops.compose_size
+
+    while queue:
+        x = queue.pop()
+        sx = size(x)
+        by_size[sx].append(x)
+        as_bottom[ops.upper_key(x)].append(x)
+        as_top[ops.lower_key(x)].append(x)
+
+        for r in (ops.involution(x), ops.reflect(x), *ops.rotations(x)):
+            add(r)
+
+        for s in range(bound - sx + 1):
+            bucket = by_size.get(s)
+            if not bucket:
+                continue
+            for y in bucket:
+                add(tensor(x, y))
+                if y is not x:
+                    add(tensor(y, x))
+
+        # x as the top factor against every registered bottom, and the
+        # other way around; the x-with-x pair is covered by the first loop.
+        for bottom in as_bottom.get(ops.lower_key(x), ()):
+            if compose_size(bottom, x) <= bound:
+                add(compose(bottom, x))
+        for top in as_top.get(ops.upper_key(x), ()):
+            if top is x:
+                continue
+            if compose_size(x, top) <= bound:
+                add(compose(x, top))
+    return members

@@ -55,7 +55,9 @@ class Partition:
         lower = tuple(lower)
         for row in (upper, lower):
             for x in row:
-                if not isinstance(x, int) or x < 0:
+                # bool is an int subclass but not a label; the exact type
+                # test first keeps the common case to one comparison.
+                if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)) or x < 0:
                     raise ValueError(f"labels must be non-negative integers, got {x!r}")
         self.upper_count = len(upper)
         self.lower_count = len(lower)

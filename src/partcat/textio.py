@@ -25,7 +25,7 @@ def _parse_labels(text: str, start: int, end: int) -> list[int]:
     for token in segment.split(","):
         stripped = token.strip()
         where = pos + (token.index(stripped) if stripped else 0)
-        if not stripped.isdigit():
+        if not (stripped.isascii() and stripped.isdigit()):
             raise ParseError(
                 f"expected a non-negative integer label, got {stripped!r}",
                 offset=where,
@@ -60,10 +60,23 @@ def partition_to_json(p: Partition) -> dict:
     return {"upper": list(p.upper), "lower": list(p.lower)}
 
 
-def partition_from_json(obj) -> Partition:
+def _json_fields(obj, *keys) -> list:
+    """The values of `keys` in a JSON object, given parsed or as text."""
     if isinstance(obj, str):
-        obj = json.loads(obj)
-    return Partition(obj["upper"], obj["lower"])
+        try:
+            obj = json.loads(obj)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"invalid JSON: {e.msg}", offset=e.pos) from None
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise ParseError(f"missing key {key!r}")
+    return [obj[key] for key in keys]
+
+
+def partition_from_json(obj) -> Partition:
+    return Partition(*_json_fields(obj, "upper", "lower"))
 
 
 def _parse_colored_side(text: str, start: int, end: int):
@@ -109,13 +122,10 @@ def colored_to_json(cp: ColoredPartition) -> dict:
 
 
 def colored_from_json(obj) -> ColoredPartition:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return ColoredPartition(
-        Partition(obj["upper"], obj["lower"]),
-        obj["upper_colors"],
-        obj["lower_colors"],
+    upper, lower, upper_colors, lower_colors = _json_fields(
+        obj, "upper", "lower", "upper_colors", "lower_colors"
     )
+    return ColoredPartition(Partition(upper, lower), upper_colors, lower_colors)
 
 
 def parse_spatial(text: str) -> SpatialPartition:
@@ -126,7 +136,7 @@ def parse_spatial(text: str) -> SpatialPartition:
     if semi < 0:
         raise ParseError("expected ';' after the level count", offset=len(text))
     levels_text = text[2:semi].strip()
-    if not levels_text.isdigit() or int(levels_text) < 1:
+    if not (levels_text.isascii() and levels_text.isdigit()) or int(levels_text) < 1:
         raise ParseError(f"expected a positive level count, got {levels_text!r}", offset=2)
     flattened = parse_partition(text[semi + 1 :])
     return SpatialPartition(int(levels_text), flattened)
@@ -147,6 +157,5 @@ def spatial_to_json(sp: SpatialPartition) -> dict:
 
 
 def spatial_from_json(obj) -> SpatialPartition:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return SpatialPartition(obj["levels"], Partition(obj["upper"], obj["lower"]))
+    levels, upper, lower = _json_fields(obj, "levels", "upper", "lower")
+    return SpatialPartition(levels, Partition(upper, lower))

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,17 +8,25 @@ from partcat import (
     IDENTITY,
     PAIR,
     Partition,
+    VariantMismatchError,
     colored_base_partitions,
     construct_closure,
     construct_colored_closure,
     construct_spatial_closure,
     lift_to_levels,
     make_disjoint,
+    spatial_base_partitions,
 )
-from partcat.closure import _PLAIN
-from partcat.oracles import enumerate_all, is_noncrossing, is_pair_partition
+from partcat.closure import _COLORED, _PLAIN, _SPATIAL, _saturate
+from partcat.oracles import (
+    enumerate_all,
+    is_noncrossing,
+    is_pair_partition,
+    saturate_reference,
+)
 
 from conftest import CROSSING, FORK
+from helpers import random_colored, random_partition, random_spatial
 
 
 def test_empty_generators_contains_bases():
@@ -87,7 +96,7 @@ def _saturation_holes(closure):
     members = closure.members
     holes = []
     for x in members:
-        for r in ops.unary(x):
+        for r in (ops.involution(x), ops.reflect(x), *ops.rotations(x)):
             if r not in members:
                 holes.append(("unary", x, r))
         for y in members:
@@ -109,6 +118,107 @@ def test_saturation_nc_bound_4():
 def test_saturation_pair_category_bound_6():
     c = construct_closure([CROSSING], 6)
     assert _saturation_holes(c) == []
+
+
+def test_wrong_generator_type_raises_variant_mismatch():
+    colored = colored_base_partitions()[0]
+    spatial = lift_to_levels(IDENTITY, 2)
+    for construct, wrong in (
+        (construct_closure, colored),
+        (construct_closure, spatial),
+        (construct_colored_closure, FORK),
+        (construct_spatial_closure, FORK),
+        (construct_spatial_closure, "1|1,1"),
+    ):
+        with pytest.raises(VariantMismatchError):
+            construct([wrong], 4)
+    with pytest.raises(VariantMismatchError):
+        construct_closure([FORK, colored], 4)
+
+
+def _differential_corpus(rng):
+    """Yield (ops, seed, bound) runs for the reference comparison.
+
+    Random spatial generators at m = 2 and bound 4, or m = 3 and bound 3,
+    can generate tens of thousands of members, which the reference cannot
+    saturate in test time; there the generators are lifted plain ones.
+    """
+    plain_bases = [IDENTITY, PAIR]
+    for bound, runs in ((3, 6), (4, 6), (5, 6), (6, 3)):
+        for _ in range(runs):
+            gens = [random_partition(rng, bound, 1) for _ in range(rng.randint(1, 2))]
+            yield _PLAIN, plain_bases + gens, bound
+    for bound, runs in ((3, 5), (4, 5), (5, 5)):
+        for _ in range(runs):
+            gens = [random_colored(rng, bound) for _ in range(rng.randint(1, 2))]
+            yield _COLORED, colored_base_partitions() + gens, bound
+    for m, bound, lifted in (
+        (1, 3, False), (1, 4, False), (2, 2, False), (2, 3, False),
+        (2, 4, True), (3, 2, False), (3, 3, True), (3, 4, True),
+    ):
+        for _ in range(3):
+            if lifted:
+                gens = [lift_to_levels(random_partition(rng, bound, 1), m)]
+            else:
+                gens = [random_spatial(rng, levels=m, max_points=bound)]
+            yield _SPATIAL, spatial_base_partitions(m) + gens, bound
+
+
+def test_engine_matches_reference_saturation():
+    rng = random.Random(20250207)
+    kinds = set()
+    for ops, seed, bound in _differential_corpus(rng):
+        assert set(_saturate(seed, bound, ops)) == saturate_reference(seed, bound, ops), (
+            ops.kind, seed, bound,
+        )
+        kinds.add(ops.kind)
+    assert kinds == {"plain", "colored", "spatial"}
+
+
+class _CountingOps:
+    """An operation table that counts its compose and tensor calls."""
+
+    def __init__(self, ops):
+        self._ops = ops
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        return getattr(self._ops, name)
+
+    def compose(self, p, q):
+        self.calls["compose"] += 1
+        return self._ops.compose(p, q)
+
+    def tensor(self, p, q):
+        self.calls["tensor"] += 1
+        return self._ops.tensor(p, q)
+
+
+def _orbit_counts(members, bound, ops):
+    """Orbits of in-bound compose and tensor pairs under reflection and
+    involution, counted from the member set alone."""
+    r = {x: ops.reflect(x) for x in members}
+    i = {x: ops.involution(x) for x in members}
+    composes, tensors = set(), set()
+    for p in members:
+        for q in members:
+            if ops.size(p) + ops.size(q) <= bound:
+                tensors.add(frozenset({(p, q), (r[q], r[p]), (i[p], i[q]), (r[i[q]], r[i[p]])}))
+            if ops.upper_key(p) == ops.lower_key(q) and ops.compose_size(p, q) <= bound:
+                composes.add(frozenset({(p, q), (r[p], r[q]), (i[q], i[p]), (r[i[q]], r[i[p]])}))
+    return Counter(compose=len(composes), tensor=len(tensors))
+
+
+def test_one_evaluation_per_orbit():
+    for ops, seed, bound in (
+        (_PLAIN, [IDENTITY, PAIR, FORK], 5),
+        (_PLAIN, [IDENTITY, PAIR, CROSSING, Partition([1], [1, 2])], 4),
+        (_COLORED, colored_base_partitions(), 5),
+        (_SPATIAL, spatial_base_partitions(2) + [lift_to_levels(FORK, 2)], 4),
+    ):
+        counting = _CountingOps(ops)
+        members = set(_saturate(seed, bound, counting))
+        assert counting.calls == _orbit_counts(members, bound, ops), ops.kind
 
 
 def test_monotone_in_bound():

@@ -59,6 +59,8 @@ def test_rejects_bad_labels():
         Partition([-1], [])
     with pytest.raises(ValueError):
         Partition(["a"], [])
+    with pytest.raises(ValueError):
+        Partition([True], [False])
 
 
 def test_normalize_worked_example():

@@ -51,6 +51,25 @@ def test_parse_errors_carry_offsets():
     assert "offset" in str(e.value)
 
 
+def test_labels_are_ascii_digits_only():
+    # str.isdigit accepts fullwidth, Arabic-Indic and superscript digits;
+    # int() reads the first two and rejects the third.
+    with pytest.raises(ParseError) as e:
+        parse_partition("\uff11,\u0663|1")
+    assert e.value.offset == 0
+    with pytest.raises(ParseError) as e:
+        parse_partition("1|1,\u0663")
+    assert e.value.offset == 4
+    with pytest.raises(ParseError) as e:
+        parse_partition("\u00b2|1")
+    assert e.value.offset == 0
+    with pytest.raises(ParseError) as e:
+        parse_spatial("m=\u00b2;1|1")
+    assert e.value.offset == 2
+    with pytest.raises(ParseError):
+        parse_spatial("m=\uff12;1,2|1,2")
+
+
 def test_text_roundtrip_random():
     rng = random.Random(1)
     for _ in range(10_000):
@@ -139,3 +158,17 @@ def test_spatial_format_examples():
 def test_spatial_json_shape():
     sp = parse_spatial("m=2;1,2|1,2")
     assert spatial_to_json(sp) == {"levels": 2, "upper": [1, 2], "lower": [1, 2]}
+
+
+def test_json_missing_keys_raise_parse_error():
+    with pytest.raises(ParseError, match="'lower'"):
+        partition_from_json('{"upper": [1]}')
+    with pytest.raises(ParseError, match="'upper_colors'"):
+        colored_from_json({"upper": [], "lower": [], "lower_colors": ""})
+    with pytest.raises(ParseError, match="'levels'"):
+        spatial_from_json({"upper": [1], "lower": [1]})
+    with pytest.raises(ParseError):
+        partition_from_json("[1, 2]")
+    with pytest.raises(ParseError) as e:
+        partition_from_json('{"upper": [1], ')
+    assert e.value.offset == 15
