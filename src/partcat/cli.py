@@ -10,17 +10,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
+from operator import attrgetter
 
 from . import oracles
 from .closure import construct_closure, construct_colored_closure, construct_spatial_closure
 from .errors import ParseError, PartitionError
 from .ops import CORNERS, compose, involution, reflect_vertical, rotate, tensor
-from .partition import canonical_sort_key
 from .textio import (
     colored_to_json,
     parse_colored,
     parse_partition,
     parse_spatial,
+    partition_to_json,
     render_colored,
     render_partition,
     render_spatial,
@@ -41,12 +43,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _print_partitions(parts, fmt):
-    if fmt == "json":
-        print(json.dumps([{"upper": list(p.upper), "lower": list(p.lower)} for p in parts]))
+def _emit(values, args, render, to_json):
+    """Print the count of `values` under --count, else one JSON array or a
+    text line per value, as --format asks."""
+    if args.count:
+        print(len(values))
+    elif args.format == "json":
+        print(json.dumps([to_json(x) for x in values]))
     else:
-        for p in parts:
-            print(p)
+        for x in values:
+            print(render(x))
 
 
 def _cmd_unary(args):
@@ -72,38 +78,24 @@ def _cmd_binary(args):
 
 
 def _cmd_generate(args):
+    # The constructors are read from the module at call time, so that the
+    # benchmark's traced run can wrap them.
     if args.colored:
-        closure = construct_colored_closure(
-            [parse_colored(g) for g in args.generators], args.bound
-        )
-        text = lambda x: render_colored(x, "text")
-        jsonable = colored_to_json
+        parse, render, to_json = parse_colored, render_colored, colored_to_json
+        construct = construct_colored_closure
     elif args.levels is not None:
-        closure = construct_spatial_closure(
-            [parse_spatial(g) for g in args.generators], args.bound, levels=args.levels
-        )
-        text = lambda x: render_spatial(x, "text")
-        jsonable = spatial_to_json
+        parse, render, to_json = parse_spatial, render_spatial, spatial_to_json
+        construct = partial(construct_spatial_closure, levels=args.levels)
     else:
-        closure = construct_closure(
-            [parse_partition(g) for g in args.generators], args.bound
-        )
-        text = str
-        jsonable = lambda p: {"upper": list(p.upper), "lower": list(p.lower)}
+        parse, render, to_json = parse_partition, render_partition, partition_to_json
+        construct = construct_closure
+    closure = construct([parse(g) for g in args.generators], args.bound)
 
     if args.exact_size is not None:
-        members = closure.members_of_size(args.exact_size)
-        members = sorted(members, key=closure._ops.sort_key)
+        members = sorted(closure.members_of_size(args.exact_size), key=attrgetter("sort_key"))
     else:
         members = closure.sorted_members()
-
-    if args.count:
-        print(len(members))
-    elif args.format == "json":
-        print(json.dumps([jsonable(x) for x in members]))
-    else:
-        for x in members:
-            print(text(x))
+    _emit(members, args, render, to_json)
     return 0
 
 
@@ -118,11 +110,8 @@ def _cmd_enumerate(args):
         parts = {p for p in parts if oracles.is_noncrossing(p)}
     elif args.predicate == "pair":
         parts = {p for p in parts if oracles.is_pair_partition(p)}
-    parts = sorted(parts, key=canonical_sort_key)
-    if args.count:
-        print(len(parts))
-    else:
-        _print_partitions(parts, args.format)
+    parts = sorted(parts, key=attrgetter("sort_key"))
+    _emit(parts, args, render_partition, partition_to_json)
     return 0
 
 

@@ -19,7 +19,7 @@ intermediates larger than n, so absence from a bounded closure never proves
 absence from the category (and no general decision procedure can exist).
 
 The same engine runs over colored and spatial partitions, parameterized by
-the operation set and base partitions of the variant.
+the operations and base partitions of the variant.
 
 Only one pair per symmetry orbit is composed or tensored. With R the
 vertical reflection and I the involution,
@@ -44,161 +44,50 @@ without this quotient is :func:`partcat.oracles.saturate_reference`.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from operator import attrgetter
+from typing import NamedTuple
 
 from . import ops as _ops
 from . import variants as _v
 from .errors import BoundError, LevelMismatchError, VariantMismatchError
-from .partition import IDENTITY, PAIR, Partition, canonical_sort_key, normalize
+from .partition import IDENTITY, PAIR, Partition
 
 
-class _PlainOps:
-    kind = "plain"
-    value_type = Partition
+class _Variant(NamedTuple):
+    """The operations of one partition variant, as the functions themselves.
 
-    @staticmethod
-    def size(p):
-        return p.size
+    The engine calls them directly, not through wrappers or methods on the
+    values, so a profile attributes each call into `ops` or `variants` to
+    this module; the benchmark's traced counters rely on that. Everything
+    else the engine needs is read off the values: `size`,
+    `upper_points`/`lower_points`, the compose interface
+    `upper_key`/`lower_key`, and `sort_key`.
+    """
 
-    @staticmethod
-    def shape(p):
-        return (p.upper_count, p.lower_count)
-
-    @staticmethod
-    def normal(p):
-        return normalize(p)
-
-    @staticmethod
-    def upper_key(p):
-        return p.upper_count
-
-    @staticmethod
-    def lower_key(p):
-        return p.lower_count
-
-    involution = staticmethod(_ops.involution)
-    reflect = staticmethod(_ops.reflect_vertical)
-
-    @staticmethod
-    def rotations(p):
-        if p.upper_count:
-            yield _ops.rotate(p, "top-left")
-            yield _ops.rotate(p, "top-right")
-        if p.lower_count:
-            yield _ops.rotate(p, "bottom-left")
-            yield _ops.rotate(p, "bottom-right")
-
-    tensor = staticmethod(_ops.tensor)
-    compose = staticmethod(_ops.compose)
-
-    @staticmethod
-    def compose_size(bottom, top):
-        return top.upper_count + bottom.lower_count
-
-    @staticmethod
-    def sort_key(p):
-        return canonical_sort_key(p)
+    kind: str
+    value_type: type
+    involution: Callable
+    reflect: Callable
+    rotate: Callable
+    tensor: Callable
+    compose: Callable
 
 
-class _ColoredOps:
-    kind = "colored"
-    value_type = _v.ColoredPartition
+_PLAIN = _Variant(
+    "plain", Partition, _ops.involution, _ops.reflect_vertical, _ops.rotate,
+    _ops.tensor, _ops.compose,
+)
+_COLORED = _Variant(
+    "colored", _v.ColoredPartition, _v.colored_involution, _v.colored_reflect,
+    _v.colored_rotate, _v.colored_tensor, _v.colored_compose,
+)
+_SPATIAL = _Variant(
+    "spatial", _v.SpatialPartition, _v.spatial_involution, _v.spatial_reflect,
+    _v.spatial_rotate, _v.spatial_tensor, _v.spatial_compose,
+)
 
-    @staticmethod
-    def size(p):
-        return p.base.size
-
-    @staticmethod
-    def shape(p):
-        return (p.base.upper_count, p.base.lower_count)
-
-    @staticmethod
-    def normal(p):
-        return _v.ColoredPartition(normalize(p.base), p.upper_colors, p.lower_colors)
-
-    @staticmethod
-    def upper_key(p):
-        return (p.base.upper_count, p.upper_colors)
-
-    @staticmethod
-    def lower_key(p):
-        return (p.base.lower_count, p.lower_colors)
-
-    involution = staticmethod(_v.colored_involution)
-    reflect = staticmethod(_v.colored_reflect)
-
-    @staticmethod
-    def rotations(p):
-        if p.base.upper_count:
-            yield _v.colored_rotate(p, "top-left")
-            yield _v.colored_rotate(p, "top-right")
-        if p.base.lower_count:
-            yield _v.colored_rotate(p, "bottom-left")
-            yield _v.colored_rotate(p, "bottom-right")
-
-    tensor = staticmethod(_v.colored_tensor)
-    compose = staticmethod(_v.colored_compose)
-
-    @staticmethod
-    def compose_size(bottom, top):
-        return top.base.upper_count + bottom.base.lower_count
-
-    @staticmethod
-    def sort_key(p):
-        return canonical_sort_key(p.base) + (p.upper_colors, p.lower_colors)
-
-
-class _SpatialOps:
-    kind = "spatial"
-    value_type = _v.SpatialPartition
-
-    @staticmethod
-    def size(p):
-        return p.size
-
-    @staticmethod
-    def shape(p):
-        return (p.upper_points, p.lower_points)
-
-    @staticmethod
-    def normal(p):
-        return _v.SpatialPartition(p.levels, normalize(p.flattened))
-
-    @staticmethod
-    def upper_key(p):
-        return (p.levels, p.upper_points)
-
-    @staticmethod
-    def lower_key(p):
-        return (p.levels, p.lower_points)
-
-    involution = staticmethod(_v.spatial_involution)
-    reflect = staticmethod(_v.spatial_reflect)
-
-    @staticmethod
-    def rotations(p):
-        if p.upper_points:
-            yield _v.spatial_rotate(p, "top-left")
-            yield _v.spatial_rotate(p, "top-right")
-        if p.lower_points:
-            yield _v.spatial_rotate(p, "bottom-left")
-            yield _v.spatial_rotate(p, "bottom-right")
-
-    tensor = staticmethod(_v.spatial_tensor)
-    compose = staticmethod(_v.spatial_compose)
-
-    @staticmethod
-    def compose_size(bottom, top):
-        return top.upper_points + bottom.lower_points
-
-    @staticmethod
-    def sort_key(p):
-        return (p.levels,) + canonical_sort_key(p.flattened)
-
-
-_PLAIN = _PlainOps()
-_COLORED = _ColoredOps()
-_SPATIAL = _SpatialOps()
+_sort_key = attrgetter("sort_key")
 
 
 class ClosureSet:
@@ -212,14 +101,14 @@ class ClosureSet:
     no procedure can decide full membership in general.
     """
 
-    __slots__ = ("bound", "generators", "members", "saturated", "_ops")
+    __slots__ = ("bound", "generators", "members", "saturated", "_variant")
 
-    def __init__(self, bound, generators, members, ops):
+    def __init__(self, bound, generators, members, variant):
         self.bound = bound
         self.generators = tuple(generators)
         self.members = frozenset(members)
         self.saturated = True
-        self._ops = ops
+        self._variant = variant
 
     def __len__(self):
         return len(self.members)
@@ -229,7 +118,7 @@ class ClosureSet:
 
     def __repr__(self):
         return (
-            f"<ClosureSet {self._ops.kind}: {len(self.members)} members, "
+            f"<ClosureSet {self._variant.kind}: {len(self.members)} members, "
             f"bound={self.bound}, generators={len(self.generators)}>"
         )
 
@@ -237,15 +126,13 @@ class ClosureSet:
         """All members with the given total number of points."""
         if size > self.bound:
             raise BoundError(f"size {size} exceeds the bound {self.bound}")
-        sz = self._ops.size
-        return {x for x in self.members if sz(x) == size}
+        return {x for x in self.members if x.size == size}
 
     def members_of_shape(self, k: int, l: int):
         """All members with k upper and l lower points."""
         if k + l > self.bound:
             raise BoundError(f"shape ({k}, {l}) exceeds the bound {self.bound}")
-        shape = self._ops.shape
-        return {x for x in self.members if shape(x) == (k, l)}
+        return {x for x in self.members if x.upper_points == k and x.lower_points == l}
 
     def contains_within_bound(self, p) -> bool:
         """Semi-decision: was `p` derived within this bound?
@@ -253,18 +140,18 @@ class ClosureSet:
         False only states that no derivation stayed within the bound; it
         does not rule out membership in the generated category.
         """
-        if self._ops.size(p) > self.bound:
+        if p.size > self.bound:
             raise BoundError(
-                f"partition of size {self._ops.size(p)} exceeds the bound {self.bound}"
+                f"partition of size {p.size} exceeds the bound {self.bound}"
             )
-        return self._ops.normal(p) in self.members
+        return p in self.members
 
     def sorted_members(self) -> list:
         """Members in the deterministic output order (size, shape, blocks)."""
-        return sorted(self.members, key=self._ops.sort_key)
+        return sorted(self.members, key=_sort_key)
 
 
-def _saturate(seed, bound, ops):
+def _saturate(seed, bound, variant):
     members = {}  # member -> insertion index, the order that picks orbit representatives
     queue = []
 
@@ -276,30 +163,41 @@ def _saturate(seed, bound, ops):
     for s in seed:
         add(s)
 
-    # Popped members as entries (y, b, rb, ib, rib): y with the indices of
-    # y, R y, I y and R I y, where R reflects and I is the involution.
+    # Popped members as entries (y, b, rb, ib, rib, yu, yl): y with the
+    # indices of y, R y, I y and R I y, where R reflects and I is the
+    # involution, and the point counts of y's upper and lower rows.
     by_size = defaultdict(list)
     as_bottom = defaultdict(list)  # indexed by the interface of the upper row
     as_top = defaultdict(list)  # indexed by the interface of the lower row
-    size = ops.size
-    tensor = ops.tensor
-    compose = ops.compose
-    compose_size = ops.compose_size
+    involution = variant.involution
+    reflect = variant.reflect
+    rotate = variant.rotate
+    tensor = variant.tensor
+    compose = variant.compose
 
     while queue:
         x = queue.pop()
-        inv = ops.involution(x)
-        ref = ops.reflect(x)
-        ref_inv = ops.reflect(inv)
-        for r in (inv, ref, ref_inv, *ops.rotations(x)):
-            add(r)
-        ex = (x, members[x], members[ref], members[inv], members[ref_inv])
-        _, a, ra, ia, ria = ex
+        xu, xl = x.upper_points, x.lower_points
+        upper_key, lower_key = x.upper_key, x.lower_key
+        inv = involution(x)
+        ref = reflect(x)
+        ref_inv = reflect(inv)
+        add(inv)
+        add(ref)
+        add(ref_inv)
+        if xu:
+            add(rotate(x, "top-left"))
+            add(rotate(x, "top-right"))
+        if xl:
+            add(rotate(x, "bottom-left"))
+            add(rotate(x, "bottom-right"))
+        a, ra, ia, ria = members[x], members[ref], members[inv], members[ref_inv]
+        ex = (x, a, ra, ia, ria, xu, xl)
 
-        sx = size(x)
+        sx = xu + xl
         by_size[sx].append(ex)
-        as_bottom[ops.upper_key(x)].append(ex)
-        as_top[ops.lower_key(x)].append(ex)
+        as_bottom[upper_key].append(ex)
+        as_top[lower_key].append(ex)
 
         # Each pair is evaluated only if its indices are the least in its
         # orbit: (p, q) is tensored if it is below (R q, R p), (I p, I q)
@@ -307,7 +205,7 @@ def _saturate(seed, bound, ops):
         # (R I q, R I p).
         for s in range(bound - sx + 1):
             for ey in by_size.get(s, ()):
-                y, b, rb, ib, rib = ey
+                y, b, rb, ib, rib, _, _ = ey
                 if (a, b) <= (rb, ra) and (a, b) <= (ia, ib) and (a, b) <= (rib, ria):
                     add(tensor(x, y))
                 if (
@@ -318,46 +216,43 @@ def _saturate(seed, bound, ops):
 
         # x as the top factor against every registered bottom, and the
         # other way around; the x-with-x pair is covered by the first loop.
-        for bottom, b, rb, ib, rib in as_bottom.get(ops.lower_key(x), ()):
+        for bottom, b, rb, ib, rib, _, bl in as_bottom.get(lower_key, ()):
             if (
-                compose_size(bottom, x) <= bound
+                xu + bl <= bound
                 and (b, a) <= (rb, ra) and (b, a) <= (ia, ib) and (b, a) <= (ria, rib)
             ):
                 add(compose(bottom, x))
-        for et in as_top.get(ops.upper_key(x), ()):
-            top, b, rb, ib, rib = et
+        for et in as_top.get(upper_key, ()):
+            top, b, rb, ib, rib, tu, _ = et
             if (
                 et is not ex
-                and compose_size(x, top) <= bound
+                and tu + xl <= bound
                 and (a, b) <= (ra, rb) and (a, b) <= (ib, ia) and (a, b) <= (rib, ria)
             ):
                 add(compose(x, top))
     return members.keys()
 
 
-def _checked(generators, ops):
+def _checked(generators, variant):
     generators = list(generators)
     for g in generators:
-        if not isinstance(g, ops.value_type):
+        if not isinstance(g, variant.value_type):
             raise VariantMismatchError(
-                f"{ops.kind} closure needs {ops.value_type.__name__} generators, "
+                f"{variant.kind} closure needs {variant.value_type.__name__} generators, "
                 f"got {type(g).__name__}"
             )
     return generators
 
 
-def _construct(generators, bound, ops, bases):
-    if not isinstance(bound, int) or bound < 1:
+def _construct(generators, bound, variant, bases):
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
         raise ValueError(f"bound must be a positive integer, got {bound!r}")
-    generators = [ops.normal(g) for g in generators]
     for g in generators:
-        if ops.size(g) > bound:
-            raise BoundError(
-                f"generator of size {ops.size(g)} exceeds the bound {bound}"
-            )
-    seed = [b for b in bases if ops.size(b) <= bound] + generators
-    members = _saturate(seed, bound, ops)
-    return ClosureSet(bound, generators, members, ops)
+        if g.size > bound:
+            raise BoundError(f"generator of size {g.size} exceeds the bound {bound}")
+    seed = [b for b in bases if b.size <= bound] + generators
+    members = _saturate(seed, bound, variant)
+    return ClosureSet(bound, generators, members, variant)
 
 
 def construct_closure(generators: Iterable[Partition], bound: int) -> ClosureSet:

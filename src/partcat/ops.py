@@ -128,6 +128,30 @@ def compose_via_dfs(p: Partition, q: Partition) -> Partition:
     return Partition._from_raw(k, p.lower_count, canonical_labels(out))
 
 
+def corner_move(items, k: int, corner: str, width: int):
+    """Move the `width` items at one end of a row to the facing end of the other.
+
+    `items` is a tuple holding the upper row, then the lower row, with `k`
+    items in the upper row; `corner` names the end that moves, as for
+    :func:`rotate`. Returns the rearranged tuple, its new upper-row length
+    and the index at which the moved items now start.
+    """
+    if corner == "top-left" or corner == "top-right":
+        if k == 0:
+            raise EmptyRowError(f"cannot rotate {corner}: upper row is empty")
+        if corner == "top-left":
+            return items[width:k] + items[:width] + items[k:], k - width, k - width
+        moved = items[: k - width] + items[k:] + items[k - width : k]
+        return moved, k - width, len(items) - width
+    if corner == "bottom-left" or corner == "bottom-right":
+        if k == len(items):
+            raise EmptyRowError(f"cannot rotate {corner}: lower row is empty")
+        if corner == "bottom-left":
+            return items[k : k + width] + items[:k] + items[k + width :], k + width, 0
+        return items[:k] + items[-width:] + items[k:-width], k + width, k
+    raise ValueError(f"unknown corner {corner!r}, expected one of {CORNERS}")
+
+
 def rotate(p: Partition, corner: str) -> Partition:
     """Move one end point of a row to the matching end of the other row.
 
@@ -136,31 +160,8 @@ def rotate(p: Partition, corner: str) -> Partition:
     the end of the lower row; "bottom-left" and "bottom-right" are the
     inverse moves. Block membership of the moved point is preserved.
     """
-    k, l = p.upper_count, p.lower_count
-    b = p.blocks
-    if corner == "top-left":
-        if k == 0:
-            raise EmptyRowError("cannot rotate top-left: upper row is empty")
-        moved = b[1:k] + (b[0],) + b[k:]
-        k, l = k - 1, l + 1
-    elif corner == "top-right":
-        if k == 0:
-            raise EmptyRowError("cannot rotate top-right: upper row is empty")
-        moved = b[: k - 1] + b[k:] + (b[k - 1],)
-        k, l = k - 1, l + 1
-    elif corner == "bottom-left":
-        if l == 0:
-            raise EmptyRowError("cannot rotate bottom-left: lower row is empty")
-        moved = (b[k],) + b[:k] + b[k + 1 :]
-        k, l = k + 1, l - 1
-    elif corner == "bottom-right":
-        if l == 0:
-            raise EmptyRowError("cannot rotate bottom-right: lower row is empty")
-        moved = b[:k] + (b[-1],) + b[k:-1]
-        k, l = k + 1, l - 1
-    else:
-        raise ValueError(f"unknown corner {corner!r}, expected one of {CORNERS}")
-    return Partition._from_raw(k, l, canonical_labels(moved))
+    moved, k, _ = corner_move(p.blocks, p.upper_count, corner, 1)
+    return Partition._from_raw(k, len(moved) - k, canonical_labels(moved))
 
 
 def reflect_vertical(p: Partition) -> Partition:

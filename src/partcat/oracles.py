@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import defaultdict
 from math import comb
 
-from .errors import EnumerationLimitError, SizeMismatchError
+from .errors import EmptyRowError, EnumerationLimitError, SizeMismatchError
+from .ops import CORNERS
 from .partition import Partition
 
 #: Largest point count enumerate_all / reference_counts will touch.
@@ -182,12 +183,12 @@ def reference_counts(size: int) -> dict[str, int]:
     return counts
 
 
-def saturate_reference(seed, bound, ops):
+def saturate_reference(seed, bound, variant):
     """Bounded closure of `seed`, every operation applied to every member pair.
 
     The worklist engine the symmetry-quotiented `closure._saturate` replaced,
-    kept as its differential reference. `ops` is one of the operation tables
-    of :mod:`partcat.closure`; nothing is skipped by symmetry.
+    kept as its differential reference. `variant` is one of the variant
+    records of :mod:`partcat.closure`; nothing is skipped by symmetry.
     """
     members = set()
     queue = []
@@ -203,20 +204,23 @@ def saturate_reference(seed, bound, ops):
     by_size = defaultdict(list)
     as_bottom = defaultdict(list)  # indexed by the interface of the upper row
     as_top = defaultdict(list)  # indexed by the interface of the lower row
-    size = ops.size
-    tensor = ops.tensor
-    compose = ops.compose
-    compose_size = ops.compose_size
+    tensor = variant.tensor
+    compose = variant.compose
 
     while queue:
         x = queue.pop()
-        sx = size(x)
+        sx = x.size
         by_size[sx].append(x)
-        as_bottom[ops.upper_key(x)].append(x)
-        as_top[ops.lower_key(x)].append(x)
+        as_bottom[x.upper_key].append(x)
+        as_top[x.lower_key].append(x)
 
-        for r in (ops.involution(x), ops.reflect(x), *ops.rotations(x)):
-            add(r)
+        add(variant.involution(x))
+        add(variant.reflect(x))
+        for corner in CORNERS:
+            try:
+                add(variant.rotate(x, corner))
+            except EmptyRowError:
+                pass
 
         for s in range(bound - sx + 1):
             bucket = by_size.get(s)
@@ -229,12 +233,12 @@ def saturate_reference(seed, bound, ops):
 
         # x as the top factor against every registered bottom, and the
         # other way around; the x-with-x pair is covered by the first loop.
-        for bottom in as_bottom.get(ops.lower_key(x), ()):
-            if compose_size(bottom, x) <= bound:
+        for bottom in as_bottom.get(x.lower_key, ()):
+            if x.upper_points + bottom.lower_points <= bound:
                 add(compose(bottom, x))
-        for top in as_top.get(ops.upper_key(x), ()):
+        for top in as_top.get(x.upper_key, ()):
             if top is x:
                 continue
-            if compose_size(x, top) <= bound:
+            if top.upper_points + x.lower_points <= bound:
                 add(compose(x, top))
     return members

@@ -13,19 +13,17 @@ the same thing as partition equivalence, so values can be compared with
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
 
-def canonical_labels(labels: Iterable[int], table: Mapping | None = None) -> tuple[int, ...]:
+def canonical_labels(labels: Iterable[int]) -> tuple[int, ...]:
     """Relabel a sequence so labels read 1, 2, 3, ... in first-occurrence order.
 
     A single left-to-right pass over an associative table; at most two table
-    accesses per element. A custom mutable mapping may be supplied as
-    `table`, e.g. to count accesses or to continue an existing numbering.
+    accesses per element.
     """
-    if table is None:
-        table = {}
-    nxt = len(table) + 1
+    table = {}
+    nxt = 1
     out = []
     append = out.append
     get = table.get
@@ -91,6 +89,23 @@ class Partition:
         return self.upper_count + self.lower_count
 
     @property
+    def upper_points(self) -> int:
+        return self.upper_count
+
+    @property
+    def lower_points(self) -> int:
+        return self.lower_count
+
+    # The compose interface: (p, q) composes when q.lower_key == p.upper_key.
+    upper_key = upper_points
+    lower_key = lower_points
+
+    @property
+    def sort_key(self):
+        """Deterministic ordering used for emitted partition lists."""
+        return (self.size, self.upper_count, self.blocks)
+
+    @property
     def num_blocks(self) -> int:
         return len(set(self.blocks))
 
@@ -122,38 +137,6 @@ IDENTITY = Partition((1,), (1,))
 PAIR = Partition((), (1, 1))
 
 
-def normalize(p: Partition) -> Partition:
-    """Return the canonical representative of `p`.
-
-    Public values are already canonical; this matters for the label-shifted
-    intermediates produced by :func:`make_disjoint`.
-    """
-    return Partition._from_raw(p.upper_count, p.lower_count, canonical_labels(p.blocks))
-
-
-def equivalent(p: Partition, q: Partition) -> bool:
-    """True when `p` and `q` differ only by a relabeling of their blocks."""
-    return (
-        p.upper_count == q.upper_count
-        and p.lower_count == q.lower_count
-        and canonical_labels(p.blocks) == canonical_labels(q.blocks)
-    )
-
-
-def make_disjoint(p: Partition, q: Partition) -> Partition:
-    """Shift every label of `p` above the labels of `q`.
-
-    The result is equivalent to `p` and shares no label with `q`. The shift
-    is 1 + max label of `q`, or 1 when `q` has no points. Note the result is
-    deliberately not renormalized; it is the standard preparation step
-    before label arithmetic on a pair of partitions.
-    """
-    t = max(q.blocks) + 1 if q.blocks else 1
-    return Partition._from_raw(
-        p.upper_count, p.lower_count, tuple(x + t for x in p.blocks)
-    )
-
-
 def kernel_partition(values: Sequence[int]) -> Partition:
     """Partition with no upper points grouping equal entries of `values`.
 
@@ -161,7 +144,3 @@ def kernel_partition(values: Sequence[int]) -> Partition:
     """
     return Partition((), tuple(values))
 
-
-def canonical_sort_key(p: Partition):
-    """Deterministic ordering used for emitted partition lists."""
-    return (p.size, p.upper_count, p.blocks)

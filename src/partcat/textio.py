@@ -60,8 +60,18 @@ def partition_to_json(p: Partition) -> dict:
     return {"upper": list(p.upper), "lower": list(p.lower)}
 
 
-def _json_fields(obj, *keys) -> list:
-    """The values of `keys` in a JSON object, given parsed or as text."""
+# The JSON types a field may hold, with the name used in error messages.
+_ARRAY = ((list,), "an array")
+_COLORS = ((str, list), "a string or an array")
+_INTEGER = ((int,), "an integer")
+
+
+def _json_fields(obj, **fields) -> list:
+    """The values of `fields` in a JSON object, given parsed or as text.
+
+    Each field maps to the JSON types its value may have; `true` and
+    `false` are not integers.
+    """
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
@@ -69,14 +79,19 @@ def _json_fields(obj, *keys) -> list:
             raise ParseError(f"invalid JSON: {e.msg}", offset=e.pos) from None
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
-    for key in keys:
+    values = []
+    for key, (types, expected) in fields.items():
         if key not in obj:
             raise ParseError(f"missing key {key!r}")
-    return [obj[key] for key in keys]
+        value = obj[key]
+        if type(value) not in types:
+            raise ParseError(f"{key!r} must be {expected}, got {type(value).__name__}")
+        values.append(value)
+    return values
 
 
 def partition_from_json(obj) -> Partition:
-    return Partition(*_json_fields(obj, "upper", "lower"))
+    return Partition(*_json_fields(obj, upper=_ARRAY, lower=_ARRAY))
 
 
 def _parse_colored_side(text: str, start: int, end: int):
@@ -123,7 +138,7 @@ def colored_to_json(cp: ColoredPartition) -> dict:
 
 def colored_from_json(obj) -> ColoredPartition:
     upper, lower, upper_colors, lower_colors = _json_fields(
-        obj, "upper", "lower", "upper_colors", "lower_colors"
+        obj, upper=_ARRAY, lower=_ARRAY, upper_colors=_COLORS, lower_colors=_COLORS
     )
     return ColoredPartition(Partition(upper, lower), upper_colors, lower_colors)
 
@@ -157,5 +172,5 @@ def spatial_to_json(sp: SpatialPartition) -> dict:
 
 
 def spatial_from_json(obj) -> SpatialPartition:
-    levels, upper, lower = _json_fields(obj, "levels", "upper", "lower")
+    levels, upper, lower = _json_fields(obj, levels=_INTEGER, upper=_ARRAY, lower=_ARRAY)
     return SpatialPartition(levels, Partition(upper, lower))

@@ -1,53 +1,11 @@
-"""Disjoint-set forest over sparse non-negative integer labels.
+"""Connected components by depth-first search.
 
-Labels are allocated lazily: a label never touched behaves as a singleton.
-find performs path compression and union applies union by rank, giving
-near-constant amortized cost per operation.
+The graph-search half of :func:`partcat.ops.compose_via_dfs`, the
+cross-check of the union-find forest that :func:`partcat.ops.compose`
+inlines.
 """
 
 from __future__ import annotations
-
-
-class UnionFind:
-    """Mergeable equivalence classes with canonical representatives."""
-
-    __slots__ = ("_parent", "_rank")
-
-    def __init__(self):
-        self._parent: dict[int, int] = {}
-        self._rank: dict[int, int] = {}
-
-    def find(self, i: int) -> int:
-        """Representative of the class of `i` (stable between unions)."""
-        if i < 0:
-            raise ValueError("labels must be non-negative")
-        parent = self._parent
-        if i not in parent:
-            parent[i] = i
-            self._rank[i] = 0
-            return i
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:  # path compression
-            parent[i], i = root, parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        """Merge the classes of `i` and `j`."""
-        ri = self.find(i)
-        rj = self.find(j)
-        if ri == rj:
-            return
-        rank = self._rank
-        if rank[ri] < rank[rj]:
-            ri, rj = rj, ri
-        self._parent[rj] = ri
-        if rank[ri] == rank[rj]:
-            rank[ri] += 1
-
-    def connected(self, i: int, j: int) -> bool:
-        return self.find(i) == self.find(j)
 
 
 def components_by_dfs(vertices, edges) -> dict:

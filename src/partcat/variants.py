@@ -14,12 +14,11 @@ from collections.abc import Iterable, Sequence
 
 from .errors import (
     ColorMismatchError,
-    EmptyRowError,
     LevelMismatchError,
     LevelStructureError,
     SizeMismatchError,
 )
-from .ops import CORNERS, compose, involution, reflect_vertical, rotate, tensor
+from .ops import compose, corner_move, involution, reflect_vertical, rotate, tensor
 from .partition import IDENTITY, PAIR, Partition, canonical_labels
 
 WHITE = "w"
@@ -59,6 +58,27 @@ class ColoredPartition:
     @property
     def size(self) -> int:
         return self.base.size
+
+    @property
+    def upper_points(self) -> int:
+        return self.base.upper_count
+
+    @property
+    def lower_points(self) -> int:
+        return self.base.lower_count
+
+    # The compose interface is the color string; it fixes the point count.
+    @property
+    def upper_key(self):
+        return self.upper_colors
+
+    @property
+    def lower_key(self):
+        return self.lower_colors
+
+    @property
+    def sort_key(self):
+        return self.base.sort_key + (self.upper_colors, self.lower_colors)
 
     def __eq__(self, other):
         if not isinstance(other, ColoredPartition):
@@ -114,26 +134,11 @@ def colored_compose(p: ColoredPartition, q: ColoredPartition) -> ColoredPartitio
 
 def colored_rotate(p: ColoredPartition, corner: str) -> ColoredPartition:
     """Rotate one end point to the other row, inverting the moved point's color."""
-    uc, lc = list(p.upper_colors), list(p.lower_colors)
-    if corner == "top-left":
-        if not uc:
-            raise EmptyRowError("cannot rotate top-left: upper row is empty")
-        lc.insert(0, invert_color(uc.pop(0)))
-    elif corner == "top-right":
-        if not uc:
-            raise EmptyRowError("cannot rotate top-right: upper row is empty")
-        lc.append(invert_color(uc.pop()))
-    elif corner == "bottom-left":
-        if not lc:
-            raise EmptyRowError("cannot rotate bottom-left: lower row is empty")
-        uc.insert(0, invert_color(lc.pop(0)))
-    elif corner == "bottom-right":
-        if not lc:
-            raise EmptyRowError("cannot rotate bottom-right: lower row is empty")
-        uc.append(invert_color(lc.pop()))
-    else:
-        raise ValueError(f"unknown corner {corner!r}, expected one of {CORNERS}")
-    return ColoredPartition(rotate(p.base, corner), uc, lc)
+    colors, k, at = corner_move(
+        p.upper_colors + p.lower_colors, len(p.upper_colors), corner, 1
+    )
+    colors = colors[:at] + (invert_color(colors[at]),) + colors[at + 1 :]
+    return ColoredPartition(rotate(p.base, corner), colors[:k], colors[k:])
 
 
 def colored_reflect(p: ColoredPartition) -> ColoredPartition:
@@ -169,7 +174,7 @@ class SpatialPartition:
     __slots__ = ("levels", "flattened", "_hash")
 
     def __init__(self, levels: int, flattened: Partition):
-        if not isinstance(levels, int) or levels < 1:
+        if isinstance(levels, bool) or not isinstance(levels, int) or levels < 1:
             raise ValueError(f"levels must be a positive integer, got {levels!r}")
         if flattened.upper_count % levels or flattened.lower_count % levels:
             raise LevelStructureError(
@@ -192,6 +197,18 @@ class SpatialPartition:
     def size(self) -> int:
         """Number of points of the level structure (not counting levels)."""
         return self.upper_points + self.lower_points
+
+    @property
+    def upper_key(self):
+        return (self.levels, self.upper_points)
+
+    @property
+    def lower_key(self):
+        return (self.levels, self.lower_points)
+
+    @property
+    def sort_key(self):
+        return (self.levels,) + self.flattened.sort_key
 
     def __eq__(self, other):
         if not isinstance(other, SpatialPartition):
@@ -251,7 +268,7 @@ def unflatten(sp: SpatialPartition) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def lift_to_levels(p: Partition, m: int) -> SpatialPartition:
     """Place an independent copy of `p` on each of `m` levels."""
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError(f"levels must be a positive integer, got {m!r}")
     labels = []
     for b in p.blocks:
@@ -299,34 +316,9 @@ def spatial_compose(p: SpatialPartition, q: SpatialPartition) -> SpatialPartitio
 def spatial_rotate(p: SpatialPartition, corner: str) -> SpatialPartition:
     """Rotate a whole point column (all m levels of one end point) at once."""
     m = p.levels
-    flat = p.flattened
-    ku, kl = flat.upper_count, flat.lower_count
-    b = flat.blocks
-    up, lo = b[:ku], b[ku:]
-    if corner == "top-left":
-        if ku == 0:
-            raise EmptyRowError("cannot rotate top-left: upper row is empty")
-        up, lo = up[m:], up[:m] + lo
-        ku, kl = ku - m, kl + m
-    elif corner == "top-right":
-        if ku == 0:
-            raise EmptyRowError("cannot rotate top-right: upper row is empty")
-        up, lo = up[:-m], lo + up[-m:]
-        ku, kl = ku - m, kl + m
-    elif corner == "bottom-left":
-        if kl == 0:
-            raise EmptyRowError("cannot rotate bottom-left: lower row is empty")
-        up, lo = lo[:m] + up, lo[m:]
-        ku, kl = ku + m, kl - m
-    elif corner == "bottom-right":
-        if kl == 0:
-            raise EmptyRowError("cannot rotate bottom-right: lower row is empty")
-        up, lo = up + lo[-m:], lo[:-m]
-        ku, kl = ku + m, kl - m
-    else:
-        raise ValueError(f"unknown corner {corner!r}, expected one of {CORNERS}")
+    moved, k, _ = corner_move(p.flattened.blocks, p.flattened.upper_count, corner, m)
     return SpatialPartition(
-        m, Partition._from_raw(ku, kl, canonical_labels(up + lo))
+        m, Partition._from_raw(k, len(moved) - k, canonical_labels(moved))
     )
 
 

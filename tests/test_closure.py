@@ -1,10 +1,15 @@
+import cProfile
+import pstats
 import random
-from collections import Counter
+from collections import Counter, defaultdict
+from pathlib import Path
 
 import pytest
 
 from partcat import (
+    CORNERS,
     BoundError,
+    EmptyRowError,
     IDENTITY,
     PAIR,
     Partition,
@@ -14,7 +19,6 @@ from partcat import (
     construct_colored_closure,
     construct_spatial_closure,
     lift_to_levels,
-    make_disjoint,
     spatial_base_partitions,
 )
 from partcat.closure import _COLORED, _PLAIN, _SPATIAL, _saturate
@@ -84,28 +88,36 @@ def test_contains_within_bound(nc_closure_6):
     assert nc_closure_6.contains_within_bound(PAIR)
     assert nc_closure_6.contains_within_bound(FORK)
     assert not nc_closure_6.contains_within_bound(CROSSING)
-    # non-canonical intermediates are normalized before lookup
-    assert nc_closure_6.contains_within_bound(make_disjoint(PAIR, FORK))
     with pytest.raises(BoundError):
         nc_closure_6.contains_within_bound(Partition([1] * 4, [1] * 4))
 
 
+def _rotations(variant, x):
+    out = []
+    for corner in CORNERS:
+        try:
+            out.append(variant.rotate(x, corner))
+        except EmptyRowError:
+            pass
+    return out
+
+
 def _saturation_holes(closure):
     """Apply every operation to every member (pair); collect escapees."""
-    ops = closure._ops
+    variant = closure._variant
     members = closure.members
     holes = []
     for x in members:
-        for r in (ops.involution(x), ops.reflect(x), *ops.rotations(x)):
+        for r in (variant.involution(x), variant.reflect(x), *_rotations(variant, x)):
             if r not in members:
                 holes.append(("unary", x, r))
         for y in members:
-            if ops.size(x) + ops.size(y) <= closure.bound:
-                for r in (ops.tensor(x, y), ops.tensor(y, x)):
+            if x.size + y.size <= closure.bound:
+                for r in (variant.tensor(x, y), variant.tensor(y, x)):
                     if r not in members:
                         holes.append(("tensor", x, y))
-            if ops.lower_key(y) == ops.upper_key(x) and ops.compose_size(x, y) <= closure.bound:
-                if ops.compose(x, y) not in members:
+            if y.lower_key == x.upper_key and y.upper_points + x.lower_points <= closure.bound:
+                if variant.compose(x, y) not in members:
                     holes.append(("compose", x, y))
     return holes
 
@@ -194,17 +206,17 @@ class _CountingOps:
         return self._ops.tensor(p, q)
 
 
-def _orbit_counts(members, bound, ops):
+def _orbit_counts(members, bound, variant):
     """Orbits of in-bound compose and tensor pairs under reflection and
     involution, counted from the member set alone."""
-    r = {x: ops.reflect(x) for x in members}
-    i = {x: ops.involution(x) for x in members}
+    r = {x: variant.reflect(x) for x in members}
+    i = {x: variant.involution(x) for x in members}
     composes, tensors = set(), set()
     for p in members:
         for q in members:
-            if ops.size(p) + ops.size(q) <= bound:
+            if p.size + q.size <= bound:
                 tensors.add(frozenset({(p, q), (r[q], r[p]), (i[p], i[q]), (r[i[q]], r[i[p]])}))
-            if ops.upper_key(p) == ops.lower_key(q) and ops.compose_size(p, q) <= bound:
+            if p.upper_key == q.lower_key and q.upper_points + p.lower_points <= bound:
                 composes.add(frozenset({(p, q), (r[p], r[q]), (i[q], i[p]), (r[i[q]], r[i[p]])}))
     return Counter(compose=len(composes), tensor=len(tensors))
 
@@ -219,6 +231,38 @@ def test_one_evaluation_per_orbit():
         counting = _CountingOps(ops)
         members = set(_saturate(seed, bound, counting))
         assert counting.calls == _orbit_counts(members, bound, ops), ops.kind
+
+
+def _closure_callers(construct, *args):
+    """For each function of the package that the closure run calls, the
+    modules that call it directly, from a `cProfile` run."""
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
+        construct(*args)
+    finally:
+        prof.disable()
+    callers = defaultdict(set)
+    for (filename, _, func), row in pstats.Stats(prof).stats.items():
+        where = Path(filename)
+        if where.parent.name == "partcat":
+            for caller_file, _, _ in row[4]:
+                callers[where.stem, func].add(Path(caller_file).stem)
+    return callers
+
+
+def test_engine_calls_each_operation_from_closure_module():
+    # The benchmark's traced run counts these calls by their direct caller.
+    for module, prefix, construct, args in (
+        ("ops", "", construct_closure, ([FORK], 4)),
+        ("variants", "colored_", construct_colored_closure, ([], 4)),
+        ("variants", "spatial_", construct_spatial_closure, ([lift_to_levels(FORK, 2)], 4)),
+    ):
+        callers = _closure_callers(construct, *args)
+        for op in ("compose", "tensor", "involution", "rotate"):
+            assert "closure" in callers[module, prefix + op], (module, prefix + op)
+        reflect = "reflect_vertical" if module == "ops" else prefix + "reflect"
+        assert "closure" in callers[module, reflect], (module, reflect)
 
 
 def test_monotone_in_bound():
@@ -248,9 +292,10 @@ def test_generators_recorded_and_iteration():
 
 def test_sorted_members_deterministic(nc_closure_6):
     ordered = nc_closure_6.sorted_members()
-    assert ordered == sorted(nc_closure_6.members, key=_PLAIN.sort_key)
-    keys = [_PLAIN.sort_key(p) for p in ordered]
+    assert ordered == sorted(nc_closure_6.members, key=lambda p: p.sort_key)
+    keys = [p.sort_key for p in ordered]
     assert keys == sorted(keys)
+    assert keys == [(p.size, p.upper_count, p.blocks) for p in ordered]
     assert len(set(ordered)) == len(ordered)
 
 

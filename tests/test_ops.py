@@ -139,10 +139,14 @@ def test_composition_associativity():
 
 def test_rotate_examples():
     assert rotate(Partition([1, 2], [2, 1]), "top-left") == Partition([1], [2, 1, 2])
-    with pytest.raises(EmptyRowError):
-        rotate(Partition([], [1, 1]), "top-left")
+    for corner in CORNERS:
+        empty_row = Partition([], [1, 1]) if corner.startswith("top") else Partition([1, 1], [])
+        with pytest.raises(EmptyRowError):
+            rotate(empty_row, corner)
     with pytest.raises(ValueError):
         rotate(IDENTITY, "sideways")
+    with pytest.raises(ValueError):
+        rotate(Partition([], []), "sideways")
 
 
 def test_rotation_round_trips():

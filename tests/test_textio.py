@@ -172,3 +172,23 @@ def test_json_missing_keys_raise_parse_error():
     with pytest.raises(ParseError) as e:
         partition_from_json('{"upper": [1], ')
     assert e.value.offset == 15
+
+
+def test_json_value_types_raise_parse_error():
+    for text in ('{"upper": 5, "lower": []}', '{"upper": [1], "lower": "1"}',
+                 '{"upper": [1], "lower": null}', '{"upper": {}, "lower": [1]}'):
+        with pytest.raises(ParseError, match="must be an array"):
+            partition_from_json(text)
+    for colors in ('5', 'null', '{"w": 1}', 'true'):
+        with pytest.raises(ParseError, match="must be a string or an array"):
+            colored_from_json(
+                f'{{"upper": [1], "lower": [1], "upper_colors": {colors}, "lower_colors": "w"}}'
+            )
+    assert colored_from_json(
+        '{"upper": [1], "lower": [1], "upper_colors": ["b"], "lower_colors": "b"}'
+    ) == parse_colored("b:1|b:1")
+    for levels in ('"2"', "2.0", "true", "null", "[2]"):
+        with pytest.raises(ParseError, match="must be an integer"):
+            spatial_from_json(f'{{"levels": {levels}, "upper": [1, 2], "lower": [1, 2]}}')
+    with pytest.raises(ParseError, match="must be an array"):
+        spatial_from_json('{"levels": 1, "upper": 5, "lower": []}')

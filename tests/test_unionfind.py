@@ -1,47 +1,9 @@
 import random
-import statistics
-import time
 
 import pytest
 
-from partcat import UnionFind, components_by_dfs
-
-
-def test_fresh_structure_is_singletons():
-    u = UnionFind()
-    assert u.find(5) == 5
-    assert u.find(0) == 0
-
-
-def test_union_basic():
-    u = UnionFind()
-    u.union(1, 2)
-    assert u.find(1) == u.find(2)
-    u.union(2, 3)
-    assert u.find(1) == u.find(3)
-    assert u.find(4) != u.find(1)
-
-
-def test_union_after_find():
-    u = UnionFind()
-    u.union(4, 7)
-    assert u.find(4) == u.find(7)
-    assert u.connected(4, 7)
-    assert not u.connected(4, 5)
-
-
-def test_find_idempotent():
-    rng = random.Random(1)
-    u = UnionFind()
-    for _ in range(200):
-        u.union(rng.randrange(50), rng.randrange(50))
-    for x in range(50):
-        assert u.find(u.find(x)) == u.find(x)
-
-
-def test_negative_label_rejected():
-    with pytest.raises(ValueError):
-        UnionFind().find(-1)
+from partcat import components_by_dfs
+from partcat.oracles import merge_overlapping
 
 
 def test_dfs_examples():
@@ -53,62 +15,16 @@ def test_dfs_examples():
         components_by_dfs({1}, [(1, 2)])
 
 
-def test_dfs_matches_unionfind_on_random_graphs():
+def test_dfs_matches_merge_overlapping_on_random_graphs():
     rng = random.Random(2)
     for _ in range(50):
         n = rng.randint(1, 1000)
         vertices = list(range(n))
         edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
-        u = UnionFind()
-        for a, b in edges:
-            u.union(a, b)
         rep = components_by_dfs(vertices, edges)
-        uf_classes = {}
         dfs_classes = {}
         for v in vertices:
-            uf_classes.setdefault(u.find(v), set()).add(v)
             dfs_classes.setdefault(rep[v], set()).add(v)
-        assert sorted(map(sorted, uf_classes.values())) == sorted(
-            map(sorted, dfs_classes.values())
-        )
-
-
-def _timed_ops(op_list):
-    u = UnionFind()
-    t0 = time.perf_counter()
-    for is_union, a, b in op_list:
-        if is_union:
-            u.union(a, b)
-        else:
-            u.find(a)
-    return time.perf_counter() - t0
-
-
-def test_amortized_scaling():
-    # n mixed union/find operations must grow roughly linearly:
-    # doubling the workload may at most triple the median wall time.
-    import gc
-
-    rng = random.Random(3)
-    sizes = [2 ** exp for exp in range(16, 21)]
-    workloads = {
-        n: [(rng.random() < 0.5, rng.randrange(n), rng.randrange(n)) for _ in range(n)]
-        for n in sizes
-    }
-    samples = {n: [] for n in sizes}
-    for ops in workloads.values():
-        _timed_ops(ops)  # warm-up
-    # round-robin over the sizes so load spikes hit them all alike
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(5):
-            for n in sizes:
-                samples[n].append(_timed_ops(workloads[n]))
-    finally:
-        gc.enable()
-    medians = {n: statistics.median(samples[n]) for n in sizes}
-    for n in sizes[:-1]:
-        assert medians[2 * n] / medians[n] <= 3.0, (
-            f"n={n}: {medians[n]:.4f}s -> {medians[2*n]:.4f}s"
-        )
+        # each vertex as a singleton group, so isolated vertices are classes too
+        merged = merge_overlapping([{v} for v in vertices] + [set(e) for e in edges])
+        assert sorted(map(sorted, merged)) == sorted(map(sorted, dfs_classes.values()))

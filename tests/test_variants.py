@@ -4,6 +4,7 @@ import pytest
 
 from partcat import (
     BLACK,
+    CORNERS,
     ColorMismatchError,
     ColoredPartition,
     EmptyRowError,
@@ -22,6 +23,8 @@ from partcat import (
     colored_rotate,
     colored_tensor,
     compose,
+    construct_closure,
+    construct_spatial_closure,
     flatten,
     invert_color,
     involution,
@@ -37,8 +40,9 @@ from partcat import (
     unflatten,
 )
 from partcat.oracles import merge_overlapping
+from partcat.textio import parse_spatial, render_spatial, spatial_from_json
 
-from helpers import random_colored, random_spatial
+from helpers import random_colored, random_partition, random_spatial
 
 WID = ColoredPartition(IDENTITY, (WHITE,), (WHITE,))
 BID = ColoredPartition(IDENTITY, (BLACK,), (BLACK,))
@@ -118,8 +122,25 @@ def test_colored_rotate_inverts_moved_color():
     assert r.upper_colors == (BLACK,)  # the moved white point turned black
     assert r.lower_colors == (BLACK,)
     assert r in colored_base_partitions()
-    with pytest.raises(EmptyRowError):
-        colored_rotate(p, "top-left")
+    for corner in CORNERS:
+        empty_row = p if corner.startswith("top") else colored_involution(p)
+        with pytest.raises(EmptyRowError):
+            colored_rotate(empty_row, corner)
+    with pytest.raises(ValueError):
+        colored_rotate(p, "sideways")
+    with pytest.raises(ValueError):
+        colored_rotate(ColoredPartition(Partition([], []), "", ""), "sideways")
+
+
+def _rotated_colors(uc, lc, corner):
+    """The color rows after a rotation at `corner`, built point by point."""
+    if corner == "top-left":
+        return uc[1:], (invert_color(uc[0]),) + lc
+    if corner == "top-right":
+        return uc[:-1], lc + (invert_color(uc[-1]),)
+    if corner == "bottom-left":
+        return (invert_color(lc[0]),) + uc, lc[1:]
+    return uc + (invert_color(lc[-1]),), lc[:-1]
 
 
 def test_colored_ops_forget_to_plain_ops():
@@ -130,8 +151,14 @@ def test_colored_ops_forget_to_plain_ops():
         assert colored_tensor(p, q).base == tensor(p.base, q.base)
         assert colored_involution(p).base == involution(p.base)
         assert colored_reflect(p).base == reflect_vertical(p.base)
-        if p.base.upper_count:
-            assert colored_rotate(p, "top-left").base == rotate(p.base, "top-left")
+        for corner in CORNERS:
+            if not (p.upper_colors if corner.startswith("top") else p.lower_colors):
+                continue
+            r = colored_rotate(p, corner)
+            assert r.base == rotate(p.base, corner)
+            assert (r.upper_colors, r.lower_colors) == _rotated_colors(
+                p.upper_colors, p.lower_colors, corner
+            )
         try:
             r = colored_compose(p, q)
         except (SizeMismatchError, ColorMismatchError):
@@ -176,6 +203,25 @@ def test_divisibility_invariant():
         SpatialPartition(0, Partition([], []))
 
 
+def test_bool_is_not_a_level_count_or_bound():
+    with pytest.raises(ValueError):
+        SpatialPartition(True, IDENTITY)
+    with pytest.raises(ValueError):
+        lift_to_levels(IDENTITY, True)
+    # `true` used to be read as one level and rendered as "m=True;1|1",
+    # which parse_spatial rejects; integer levels round-trip through text.
+    with pytest.raises(ValueError):
+        spatial_from_json('{"levels": true, "upper": [1], "lower": [1]}')
+    sp = spatial_from_json('{"levels": 1, "upper": [1], "lower": [1]}')
+    assert parse_spatial(render_spatial(sp)) == sp
+    with pytest.raises(ValueError):
+        construct_closure([], True)
+    with pytest.raises(ValueError):
+        construct_spatial_closure([], 2, levels=True)
+    with pytest.raises(ValueError):
+        construct_spatial_closure([SpatialPartition(1, IDENTITY)], 2, levels=True)
+
+
 def test_unflatten_roundtrip_random():
     rng = random.Random(4)
     for _ in range(300):
@@ -190,8 +236,6 @@ def test_lift_examples():
     assert lift_to_levels(PAIR, 1) == SpatialPartition(1, PAIR)
     rng = random.Random(5)
     for _ in range(100):
-        from helpers import random_partition
-
         p = random_partition(rng, 6)
         m = rng.randint(1, 4)
         assert lift_to_levels(p, m).flattened.num_blocks == m * p.num_blocks
@@ -210,8 +254,6 @@ def test_spatial_level_mismatch():
 
 def test_spatial_m1_matches_plain_ops():
     rng = random.Random(6)
-    from helpers import random_partition
-
     for _ in range(200):
         p = random_partition(rng, 6)
         q = random_partition(rng, 6)
@@ -228,8 +270,27 @@ def test_spatial_rotate_moves_whole_columns():
     r = spatial_rotate(sp, "top-left")
     assert (r.upper_points, r.lower_points) == (1, 3)
     assert spatial_rotate(r, "bottom-left") == sp
-    with pytest.raises(EmptyRowError):
-        spatial_rotate(lift_to_levels(PAIR, 2), "top-right")
+    inverse = dict(zip(CORNERS, ("bottom-left", "bottom-right", "top-left", "top-right")))
+    rng = random.Random(8)
+    for _ in range(200):
+        m = rng.randint(1, 3)
+        p = random_partition(rng, 6)
+        sp = random_spatial(rng, levels=m)
+        for corner in CORNERS:
+            if (p.upper_count if corner.startswith("top") else p.lower_count):
+                assert spatial_rotate(lift_to_levels(p, m), corner) == lift_to_levels(
+                    rotate(p, corner), m
+                )
+            if (sp.upper_points if corner.startswith("top") else sp.lower_points):
+                assert spatial_rotate(spatial_rotate(sp, corner), inverse[corner]) == sp
+    for corner in CORNERS:
+        empty_row = PAIR if corner.startswith("top") else involution(PAIR)
+        with pytest.raises(EmptyRowError):
+            spatial_rotate(lift_to_levels(empty_row, 2), corner)
+    with pytest.raises(ValueError):
+        spatial_rotate(sp, "sideways")
+    with pytest.raises(ValueError):
+        spatial_rotate(lift_to_levels(Partition([], []), 2), "sideways")
 
 
 # ------------------------------------------- block-level functoriality
