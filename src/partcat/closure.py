@@ -101,7 +101,7 @@ class ClosureSet:
     no procedure can decide full membership in general.
     """
 
-    __slots__ = ("bound", "generators", "members", "saturated", "_variant")
+    __slots__ = ("bound", "generators", "members", "saturated", "_variant", "_by_shape")
 
     def __init__(self, bound, generators, members, variant):
         self.bound = bound
@@ -109,6 +109,7 @@ class ClosureSet:
         self.members = frozenset(members)
         self.saturated = True
         self._variant = variant
+        self._by_shape = None  # (upper points, lower points) -> members, built on first use
 
     def __len__(self):
         return len(self.members)
@@ -122,17 +123,25 @@ class ClosureSet:
             f"bound={self.bound}, generators={len(self.generators)}>"
         )
 
+    def _shapes(self):
+        if self._by_shape is None:
+            by_shape = defaultdict(list)
+            for x in self.members:
+                by_shape[x.upper_points, x.lower_points].append(x)
+            self._by_shape = {shape: frozenset(xs) for shape, xs in by_shape.items()}
+        return self._by_shape
+
     def members_of_size(self, size: int):
         """All members with the given total number of points."""
         if size > self.bound:
             raise BoundError(f"size {size} exceeds the bound {self.bound}")
-        return {x for x in self.members if x.size == size}
+        return {x for (k, l), xs in self._shapes().items() if k + l == size for x in xs}
 
     def members_of_shape(self, k: int, l: int):
         """All members with k upper and l lower points."""
         if k + l > self.bound:
             raise BoundError(f"shape ({k}, {l}) exceeds the bound {self.bound}")
-        return {x for x in self.members if x.upper_points == k and x.lower_points == l}
+        return set(self._shapes().get((k, l), ()))
 
     def contains_within_bound(self, p) -> bool:
         """Semi-decision: was `p` derived within this bound?
@@ -140,6 +149,7 @@ class ClosureSet:
         False only states that no derivation stayed within the bound; it
         does not rule out membership in the generated category.
         """
+        _check_variant(p, self._variant, "queries")
         if p.size > self.bound:
             raise BoundError(
                 f"partition of size {p.size} exceeds the bound {self.bound}"
@@ -163,12 +173,14 @@ def _saturate(seed, bound, variant):
     for s in seed:
         add(s)
 
-    # Popped members as entries (y, b, rb, ib, rib, yu, yl): y with the
-    # indices of y, R y, I y and R I y, where R reflects and I is the
-    # involution, and the point counts of y's upper and lower rows.
+    # Popped members as entries (y, b, rb, ib, rib): y with the indices of
+    # y, R y, I y and R I y, where R reflects and I is the involution.
+    # Compose partners are bucketed by their interface and the point count
+    # of their free row, so a popped member visits only the buckets whose
+    # results stay within the bound.
     by_size = defaultdict(list)
-    as_bottom = defaultdict(list)  # indexed by the interface of the upper row
-    as_top = defaultdict(list)  # indexed by the interface of the lower row
+    as_bottom = defaultdict(list)  # by (upper-row interface, lower points)
+    as_top = defaultdict(list)  # by (lower-row interface, upper points)
     involution = variant.involution
     reflect = variant.reflect
     rotate = variant.rotate
@@ -192,12 +204,12 @@ def _saturate(seed, bound, variant):
             add(rotate(x, "bottom-left"))
             add(rotate(x, "bottom-right"))
         a, ra, ia, ria = members[x], members[ref], members[inv], members[ref_inv]
-        ex = (x, a, ra, ia, ria, xu, xl)
+        ex = (x, a, ra, ia, ria)
 
         sx = xu + xl
         by_size[sx].append(ex)
-        as_bottom[upper_key].append(ex)
-        as_top[lower_key].append(ex)
+        as_bottom[upper_key, xl].append(ex)
+        as_top[lower_key, xu].append(ex)
 
         # Each pair is evaluated only if its indices are the least in its
         # orbit: (p, q) is tensored if it is below (R q, R p), (I p, I q)
@@ -205,7 +217,7 @@ def _saturate(seed, bound, variant):
         # (R I q, R I p).
         for s in range(bound - sx + 1):
             for ey in by_size.get(s, ()):
-                y, b, rb, ib, rib, _, _ = ey
+                y, b, rb, ib, rib = ey
                 if (a, b) <= (rb, ra) and (a, b) <= (ia, ib) and (a, b) <= (rib, ria):
                     add(tensor(x, y))
                 if (
@@ -214,33 +226,36 @@ def _saturate(seed, bound, variant):
                 ):
                     add(tensor(y, x))
 
-        # x as the top factor against every registered bottom, and the
-        # other way around; the x-with-x pair is covered by the first loop.
-        for bottom, b, rb, ib, rib, _, bl in as_bottom.get(lower_key, ()):
-            if (
-                xu + bl <= bound
-                and (b, a) <= (rb, ra) and (b, a) <= (ia, ib) and (b, a) <= (ria, rib)
-            ):
-                add(compose(bottom, x))
-        for et in as_top.get(upper_key, ()):
-            top, b, rb, ib, rib, tu, _ = et
-            if (
-                et is not ex
-                and tu + xl <= bound
-                and (a, b) <= (ra, rb) and (a, b) <= (ib, ia) and (a, b) <= (rib, ria)
-            ):
-                add(compose(x, top))
+        # x as the top factor against every registered bottom that keeps the
+        # result within the bound, and the other way around; the x-with-x
+        # pair is covered by the first loop.
+        for bl in range(bound - xu + 1):
+            for bottom, b, rb, ib, rib in as_bottom.get((lower_key, bl), ()):
+                if (b, a) <= (rb, ra) and (b, a) <= (ia, ib) and (b, a) <= (ria, rib):
+                    add(compose(bottom, x))
+        for tu in range(bound - xl + 1):
+            for et in as_top.get((upper_key, tu), ()):
+                top, b, rb, ib, rib = et
+                if (
+                    et is not ex
+                    and (a, b) <= (ra, rb) and (a, b) <= (ib, ia) and (a, b) <= (rib, ria)
+                ):
+                    add(compose(x, top))
     return members.keys()
+
+
+def _check_variant(value, variant, role):
+    if not isinstance(value, variant.value_type):
+        raise VariantMismatchError(
+            f"{variant.kind} closure needs {variant.value_type.__name__} {role}, "
+            f"got {type(value).__name__}"
+        )
 
 
 def _checked(generators, variant):
     generators = list(generators)
     for g in generators:
-        if not isinstance(g, variant.value_type):
-            raise VariantMismatchError(
-                f"{variant.kind} closure needs {variant.value_type.__name__} generators, "
-                f"got {type(g).__name__}"
-            )
+        _check_variant(g, variant, "generators")
     return generators
 
 

@@ -17,6 +17,9 @@ from .unionfind import components_by_dfs
 #: Valid `corner` arguments for :func:`rotate`.
 CORNERS = ("top-left", "top-right", "bottom-left", "bottom-right")
 
+# Total points up to which :func:`compose` keeps its scratch space in lists.
+_SMALL_COMPOSE = 64
+
 
 def involution(p: Partition) -> Partition:
     """Swap the upper and lower rows (reflection along the horizontal axis)."""
@@ -60,12 +63,23 @@ def compose(p: Partition, q: Partition) -> Partition:
     k = q.upper_count
     # Shift p's labels above q's so the two block structures are disjoint,
     # then union each of p's upper labels with the facing lower label of q.
-    # Flat arrays keep the working set contiguous, which matters for the
-    # cache behavior on million-point inputs.
-    t = max(b) + 1 if b else 1
-    n = t + (max(a) + 1 if a else 1)
-    parent = array("i", range(n))
-    rank = bytearray(n)
+    # Canonical labels never exceed the number of points, so small inputs
+    # size the scratch space by their lengths and keep it in plain lists,
+    # which are cheaper to make. Large ones size it by their largest labels
+    # in flat arrays, which keep the working set contiguous for the cache
+    # on million-point inputs. Lists and arrays index alike, so one body
+    # serves both.
+    small = len(a) + len(b) <= _SMALL_COMPOSE
+    if small:
+        t = len(b) + 1
+        n = t + len(a) + 1
+        parent = list(range(n))
+        rank = [0] * n
+    else:
+        t = max(b) + 1 if b else 1
+        n = t + (max(a) + 1 if a else 1)
+        parent = array("i", range(n))
+        rank = bytearray(n)
     for x, y in zip(a, b[k:]):
         x += t
         while parent[x] != x:
@@ -84,7 +98,7 @@ def compose(p: Partition, q: Partition) -> Partition:
     # also assigns fresh consecutive labels (so the result is canonical).
     out = []
     append = out.append
-    table = array("i", bytes(4 * n))
+    table = [0] * n if small else array("i", bytes(4 * n))
     nxt = 1
     for v in b[:k]:
         while parent[v] != v:

@@ -64,8 +64,9 @@ class Partition:
 
     @classmethod
     def _from_raw(cls, upper_count: int, lower_count: int, blocks: tuple[int, ...]) -> "Partition":
-        # Internal: trusts `blocks` as given. Used for vectors that are
-        # already canonical and for label-shifted intermediates.
+        # Internal: trusts `blocks` as given, so they must already be
+        # canonical. `ops.compose` sizes its scratch space on that: no label
+        # exceeds the number of points.
         p = object.__new__(cls)
         p.upper_count = upper_count
         p.lower_count = lower_count

@@ -55,6 +55,18 @@ class ColoredPartition:
         self.lower_colors = lc
         self._hash = hash((base, uc, lc))
 
+    @classmethod
+    def _from_raw(cls, base: Partition, upper_colors: tuple, lower_colors: tuple) -> "ColoredPartition":
+        # Internal: trusts the color tuples to hold valid colors and to match
+        # the rows of `base`. Used for the results of operations on checked
+        # values.
+        p = object.__new__(cls)
+        p.base = base
+        p.upper_colors = upper_colors
+        p.lower_colors = lower_colors
+        p._hash = hash((base, upper_colors, lower_colors))
+        return p
+
     @property
     def size(self) -> int:
         return self.base.size
@@ -101,7 +113,7 @@ class ColoredPartition:
 
 def colored_tensor(p: ColoredPartition, q: ColoredPartition) -> ColoredPartition:
     """Horizontal concatenation; color strings concatenate row-wise."""
-    return ColoredPartition(
+    return ColoredPartition._from_raw(
         tensor(p.base, q.base),
         p.upper_colors + q.upper_colors,
         p.lower_colors + q.lower_colors,
@@ -110,7 +122,7 @@ def colored_tensor(p: ColoredPartition, q: ColoredPartition) -> ColoredPartition
 
 def colored_involution(p: ColoredPartition) -> ColoredPartition:
     """Swap rows; the color strings swap rows with them, order unchanged."""
-    return ColoredPartition(involution(p.base), p.lower_colors, p.upper_colors)
+    return ColoredPartition._from_raw(involution(p.base), p.lower_colors, p.upper_colors)
 
 
 def colored_compose(p: ColoredPartition, q: ColoredPartition) -> ColoredPartition:
@@ -129,7 +141,7 @@ def colored_compose(p: ColoredPartition, q: ColoredPartition) -> ColoredPartitio
             f"cannot compose: interface colors {''.join(q.lower_colors)!r} "
             f"of q do not match {''.join(p.upper_colors)!r} of p"
         )
-    return ColoredPartition(compose(p.base, q.base), q.upper_colors, p.lower_colors)
+    return ColoredPartition._from_raw(compose(p.base, q.base), q.upper_colors, p.lower_colors)
 
 
 def colored_rotate(p: ColoredPartition, corner: str) -> ColoredPartition:
@@ -138,12 +150,12 @@ def colored_rotate(p: ColoredPartition, corner: str) -> ColoredPartition:
         p.upper_colors + p.lower_colors, len(p.upper_colors), corner, 1
     )
     colors = colors[:at] + (invert_color(colors[at]),) + colors[at + 1 :]
-    return ColoredPartition(rotate(p.base, corner), colors[:k], colors[k:])
+    return ColoredPartition._from_raw(rotate(p.base, corner), colors[:k], colors[k:])
 
 
 def colored_reflect(p: ColoredPartition) -> ColoredPartition:
     """Reverse both rows; every point keeps its color."""
-    return ColoredPartition(
+    return ColoredPartition._from_raw(
         reflect_vertical(p.base), p.upper_colors[::-1], p.lower_colors[::-1]
     )
 
@@ -184,6 +196,17 @@ class SpatialPartition:
         self.levels = levels
         self.flattened = flattened
         self._hash = hash((levels, flattened))
+
+    @classmethod
+    def _from_raw(cls, levels: int, flattened: Partition) -> "SpatialPartition":
+        # Internal: trusts `levels` to be a positive integer dividing both
+        # row lengths of `flattened`. Used for the results of operations on
+        # checked values.
+        p = object.__new__(cls)
+        p.levels = levels
+        p.flattened = flattened
+        p._hash = hash((levels, flattened))
+        return p
 
     @property
     def upper_points(self) -> int:
@@ -294,12 +317,12 @@ def _check_levels(p: SpatialPartition, q: SpatialPartition):
 def spatial_tensor(p: SpatialPartition, q: SpatialPartition) -> SpatialPartition:
     """Horizontal concatenation of same-level spatial partitions."""
     _check_levels(p, q)
-    return SpatialPartition(p.levels, tensor(p.flattened, q.flattened))
+    return SpatialPartition._from_raw(p.levels, tensor(p.flattened, q.flattened))
 
 
 def spatial_involution(p: SpatialPartition) -> SpatialPartition:
     """Swap the upper and lower rows of every level."""
-    return SpatialPartition(p.levels, involution(p.flattened))
+    return SpatialPartition._from_raw(p.levels, involution(p.flattened))
 
 
 def spatial_compose(p: SpatialPartition, q: SpatialPartition) -> SpatialPartition:
@@ -310,14 +333,14 @@ def spatial_compose(p: SpatialPartition, q: SpatialPartition) -> SpatialPartitio
             f"cannot compose: q has {q.lower_points} lower points "
             f"but p has {p.upper_points} upper points"
         )
-    return SpatialPartition(p.levels, compose(p.flattened, q.flattened))
+    return SpatialPartition._from_raw(p.levels, compose(p.flattened, q.flattened))
 
 
 def spatial_rotate(p: SpatialPartition, corner: str) -> SpatialPartition:
     """Rotate a whole point column (all m levels of one end point) at once."""
     m = p.levels
     moved, k, _ = corner_move(p.flattened.blocks, p.flattened.upper_count, corner, m)
-    return SpatialPartition(
+    return SpatialPartition._from_raw(
         m, Partition._from_raw(k, len(moved) - k, canonical_labels(moved))
     )
 
@@ -334,6 +357,6 @@ def spatial_reflect(p: SpatialPartition) -> SpatialPartition:
         return [x for chunk in reversed(chunks) for x in chunk]
 
     labels = reverse_columns(b[:ku]) + reverse_columns(b[ku:])
-    return SpatialPartition(
+    return SpatialPartition._from_raw(
         m, Partition._from_raw(ku, flat.lower_count, canonical_labels(labels))
     )

@@ -92,6 +92,41 @@ def test_contains_within_bound(nc_closure_6):
         nc_closure_6.contains_within_bound(Partition([1] * 4, [1] * 4))
 
 
+def test_contains_within_bound_rejects_other_variants(nc_closure_6):
+    colored = construct_colored_closure([], 2)
+    for closure, wrong in (
+        (nc_closure_6, colored_base_partitions()[0]),
+        (colored, IDENTITY),
+        (nc_closure_6, "1|1"),
+    ):
+        with pytest.raises(VariantMismatchError):
+            closure.contains_within_bound(wrong)
+
+
+def test_shape_queries_match_full_scan(nc_closure_6):
+    for closure in (
+        nc_closure_6,
+        construct_colored_closure([], 4),
+        construct_spatial_closure([lift_to_levels(FORK, 2)], 4),
+    ):
+        bound = closure.bound
+        for size in range(bound + 1):
+            assert closure.members_of_size(size) == {
+                x for x in closure.members if x.size == size
+            }
+            for k in range(size + 1):
+                expected = {
+                    x for x in closure.members
+                    if (x.upper_points, x.lower_points) == (k, size - k)
+                }
+                closure.members_of_shape(k, size - k).clear()  # a fresh set each call
+                assert closure.members_of_shape(k, size - k) == expected
+        with pytest.raises(BoundError):
+            closure.members_of_size(bound + 1)
+        with pytest.raises(BoundError):
+            closure.members_of_shape(bound, 1)
+
+
 def _rotations(variant, x):
     out = []
     for corner in CORNERS:
@@ -219,6 +254,15 @@ def _orbit_counts(members, bound, variant):
             if p.upper_key == q.lower_key and q.upper_points + p.lower_points <= bound:
                 composes.add(frozenset({(p, q), (r[p], r[q]), (i[q], i[p]), (r[i[q]], r[i[p]])}))
     return Counter(compose=len(composes), tensor=len(tensors))
+
+
+def test_engine_work_on_the_924_run():
+    # {fork, identity, pair} @6 evaluates one pair per orbit; the bucketed
+    # partner lists may skip only over-bound pairs, never an evaluated one.
+    counting = _CountingOps(_PLAIN)
+    members = _saturate([IDENTITY, PAIR, FORK, IDENTITY, PAIR], 6, counting)
+    assert len(members) == 1275
+    assert counting.calls == Counter(compose=34_875, tensor=1_401)
 
 
 def test_one_evaluation_per_orbit():

@@ -16,9 +16,10 @@ from partcat import (
     rotate,
     tensor,
 )
+from partcat import ops
 from partcat.oracles import enumerate_all
 
-from helpers import random_composable_pair, random_partition
+from helpers import random_composable_pair, random_labels, random_partition
 
 
 def test_involution_examples():
@@ -110,6 +111,42 @@ def test_compose_agreement_random():
         expected = compose_reference(p, q)
         assert compose(p, q) == expected
         assert compose_via_dfs(p, q) == expected
+
+
+def _composable_pair(rng, ell, k, m, style):
+    """(p, q) with ell interface points, k upper points on q and m lower
+    points on p; labels random, all distinct, or one block per operand."""
+
+    def make(top, bottom):
+        n = top + bottom
+        if style == "singletons":
+            labels = list(range(1, n + 1))
+        elif style == "one-block":
+            labels = [1] * n
+        else:
+            labels = random_labels(rng, n)
+        return Partition(labels[:top], labels[top:])
+
+    return make(ell, m), make(k, ell)
+
+
+def test_compose_matches_dfs_across_small_cut():
+    # compose sizes its scratch space by the input lengths up to the cut and
+    # by the largest labels above it; both sides must agree with the search.
+    rng = random.Random(64)
+    cut = ops._SMALL_COMPOSE
+    for n in range(2 * cut + 1):
+        ell = rng.randint(0, n // 2)
+        k = rng.randint(0, n - 2 * ell)
+        free = n - 2 * ell
+        shapes = [(ell, k, free - k), (ell, 0, free), (ell, free, 0), (0, k, n - k)]
+        if n % 2 == 0:
+            shapes.append((n // 2, 0, 0))  # both outer rows empty
+        for ell, k, m in shapes:
+            for style in ("random", "singletons", "one-block"):
+                p, q = _composable_pair(rng, ell, k, m, style)
+                assert p.size + q.size == n
+                assert compose(p, q) == compose_via_dfs(p, q), (ell, k, m, style)
 
 
 def test_star_laws():

@@ -42,7 +42,7 @@ from partcat import (
 from partcat.oracles import merge_overlapping
 from partcat.textio import parse_spatial, render_spatial, spatial_from_json
 
-from helpers import random_colored, random_partition, random_spatial
+from helpers import random_colored, random_composable_pair, random_partition, random_spatial
 
 WID = ColoredPartition(IDENTITY, (WHITE,), (WHITE,))
 BID = ColoredPartition(IDENTITY, (BLACK,), (BLACK,))
@@ -52,10 +52,11 @@ BID = ColoredPartition(IDENTITY, (BLACK,), (BLACK,))
 
 
 def test_color_validation():
-    with pytest.raises(ValueError):
-        ColoredPartition(IDENTITY, "wb", "w")
-    with pytest.raises(ValueError):
-        ColoredPartition(IDENTITY, "x", "w")
+    # The operations build their results unchecked; the constructor does not.
+    fork = Partition([1], [1, 1])
+    for upper, lower in (("w", "w"), ("ww", "ww"), ("", "ww"), ("x", "ww"), ("w", ("b", 1))):
+        with pytest.raises(ValueError):
+            ColoredPartition(fork, upper, lower)
 
 
 def test_colored_base_partitions():
@@ -167,6 +168,45 @@ def test_colored_ops_forget_to_plain_ops():
             assert r.base == compose(p.base, q.base)
 
 
+def _validated(r):
+    """`r` rebuilt through its checking public constructor."""
+    if isinstance(r, ColoredPartition):
+        return ColoredPartition(r.base, r.upper_colors, r.lower_colors)
+    return SpatialPartition(r.levels, r.flattened)
+
+
+def _unary_results(p, involution_op, reflect_op, rotate_op):
+    out = [involution_op(p), reflect_op(p)]
+    for corner in CORNERS:
+        try:
+            out.append(rotate_op(p, corner))
+        except EmptyRowError:
+            pass
+    return out
+
+
+def test_op_results_equal_validated_construction():
+    rng = random.Random(8)
+
+    def colors(n):
+        return [rng.choice((WHITE, BLACK)) for _ in range(n)]
+
+    for _ in range(200):
+        bp, bq = random_composable_pair(rng, 10)
+        p = ColoredPartition(bp, colors(bp.upper_count), colors(bp.lower_count))
+        q = ColoredPartition(bq, colors(bq.upper_count), p.upper_colors)
+        results = [colored_tensor(p, q), colored_tensor(q, p), colored_compose(p, q)]
+        results += _unary_results(p, colored_involution, colored_reflect, colored_rotate)
+        m = rng.randint(1, 3)
+        sp = random_spatial(rng, levels=m, max_points=4)
+        sq = random_spatial(rng, levels=m, k=rng.randint(0, 2), l=sp.upper_points)
+        results += [spatial_tensor(sp, sq), spatial_compose(sp, sq)]
+        results += _unary_results(sp, spatial_involution, spatial_reflect, spatial_rotate)
+        for r in results:
+            v = _validated(r)
+            assert r == v and hash(r) == hash(v), r
+
+
 def test_invert_color():
     assert invert_color(WHITE) == BLACK and invert_color(BLACK) == WHITE
 
@@ -197,10 +237,13 @@ def test_flatten_rejects_malformed_blocks():
 
 
 def test_divisibility_invariant():
-    with pytest.raises(LevelStructureError):
-        SpatialPartition(2, Partition([1], [1]))
-    with pytest.raises(ValueError):
-        SpatialPartition(0, Partition([], []))
+    # The operations build their results unchecked; the constructor does not.
+    for flat in (Partition([1], [1]), Partition([1, 1], [1]), Partition([1], [1, 1])):
+        with pytest.raises(LevelStructureError):
+            SpatialPartition(2, flat)
+    for levels in (0, -1, "1", 1.0):
+        with pytest.raises(ValueError):
+            SpatialPartition(levels, Partition([], []))
 
 
 def test_bool_is_not_a_level_count_or_bound():
