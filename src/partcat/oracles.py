@@ -54,6 +54,14 @@ def enumerate_all(k: int, l: int) -> set[Partition]:
     return {Partition._from_raw(k, l, g) for g in growth_strings(n)}
 
 
+def canonical_labels_reference(labels) -> tuple:
+    """First-occurrence relabelling read off `dict.fromkeys`, as an
+    independent oracle for :func:`partcat.partition.canonical_labels`."""
+    labels = list(labels)
+    new = {x: i for i, x in enumerate(dict.fromkeys(labels), 1)}
+    return tuple(new[x] for x in labels)
+
+
 def bell_number(n: int) -> int:
     """Number of set partitions of an n-element set, via the Bell triangle."""
     row = [1]

@@ -16,12 +16,42 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 
+# Length above which canonical_labels relabels through a flat list indexed by
+# label when every label is an int in [0, 2 * length]; shorter inputs and
+# sparser or non-int labels go through a dict.
+_FLAT_RELABEL = 64
+
+
 def canonical_labels(labels: Iterable[int]) -> tuple[int, ...]:
     """Relabel a sequence so labels read 1, 2, 3, ... in first-occurrence order.
 
-    A single left-to-right pass over an associative table; at most two table
-    accesses per element.
+    A single left-to-right pass over a table from old label to new; at most
+    two table accesses per element. Long inputs of small ints index a flat
+    list, the rest a dict; both store each new label once, so equal labels
+    of the result are one shared object.
     """
+    table = None
+    try:
+        if len(labels) > _FLAT_RELABEL and min(labels) >= 0:
+            top = max(labels)
+            if top <= 2 * len(labels):
+                table = [0] * (top + 1)
+    except TypeError:  # an iterator, or labels that are not ints
+        pass
+    if table is not None:
+        nxt = 1
+        out = []
+        append = out.append
+        try:
+            for x in labels:
+                y = table[x]
+                if not y:
+                    table[x] = y = nxt
+                    nxt += 1
+                append(y)
+            return tuple(out)
+        except TypeError:  # a non-int label between int extremes
+            pass
     table = {}
     nxt = 1
     out = []

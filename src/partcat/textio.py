@@ -10,13 +10,33 @@ always normalizes.
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import ParseError
-from .partition import Partition
+from .partition import Partition, canonical_labels
 from .variants import ColoredPartition, SpatialPartition
 
 
-def _parse_labels(text: str, start: int, end: int) -> list[int]:
+# Any character that cannot occur in a row of labels.
+_NOT_LABEL_TEXT = re.compile(r"[^0-9,\s]")
+
+
+def _read_int(digits: str, what: str, offset: int) -> int:
+    """int() of a run of ASCII digits, as a ParseError where the run is too
+    long for int() to read."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"{what} of {len(digits)} digits is too long to read", offset=offset
+        ) from None
+
+
+def _scan_labels(text: str, start: int, end: int) -> list[int]:
+    """The labels of `text[start:end]`, read token by token.
+
+    Reports the first bad token as a ParseError at its offset.
+    """
     segment = text[start:end]
     if not segment.strip():
         return []
@@ -30,9 +50,26 @@ def _parse_labels(text: str, start: int, end: int) -> list[int]:
                 f"expected a non-negative integer label, got {stripped!r}",
                 offset=where,
             )
-        labels.append(int(stripped))
+        labels.append(_read_int(stripped, "label", where))
         pos += len(token) + 1
     return labels
+
+
+def _parse_labels(text: str, start: int, end: int) -> list[int]:
+    """The labels of `text[start:end]`, converted in bulk.
+
+    A row holding only ASCII digits, commas and whitespace whose tokens all
+    convert with int() gives what `_scan_labels` gives: int() strips no
+    character that str.strip() keeps, and reads ASCII digits alike. Any
+    other row goes to `_scan_labels`, which reads it or reports the error.
+    """
+    segment = text[start:end]
+    if segment and not segment.isspace() and not _NOT_LABEL_TEXT.search(segment):
+        try:
+            return list(map(int, segment.split(",")))
+        except ValueError:  # a bad token, or padding int() does not strip
+            pass
+    return _scan_labels(text, start, end)
 
 
 def parse_partition(text: str) -> Partition:
@@ -43,9 +80,11 @@ def parse_partition(text: str) -> Partition:
     second = text.find("|", bar + 1)
     if second >= 0:
         raise ParseError("unexpected second '|'", offset=second)
-    return Partition(
-        _parse_labels(text, 0, bar), _parse_labels(text, bar + 1, len(text))
-    )
+    upper = _parse_labels(text, 0, bar)
+    lower = _parse_labels(text, bar + 1, len(text))
+    # The labels are ints read from ASCII digits, so none is negative and
+    # the constructor's check would pass.
+    return Partition._from_raw(len(upper), len(lower), canonical_labels(upper + lower))
 
 
 def render_partition(p: Partition, fmt: str = "text") -> str:
@@ -151,7 +190,10 @@ def parse_spatial(text: str) -> SpatialPartition:
     if semi < 0:
         raise ParseError("expected ';' after the level count", offset=len(text))
     levels_text = text[2:semi].strip()
-    if not (levels_text.isascii() and levels_text.isdigit()) or int(levels_text) < 1:
+    if (
+        not (levels_text.isascii() and levels_text.isdigit())
+        or _read_int(levels_text, "level count", 2) < 1
+    ):
         raise ParseError(f"expected a positive level count, got {levels_text!r}", offset=2)
     flattened = parse_partition(text[semi + 1 :])
     return SpatialPartition(int(levels_text), flattened)

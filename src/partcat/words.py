@@ -13,7 +13,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .partition import Partition, kernel_partition
+from .partition import Partition, canonical_labels
+from .textio import _read_int
 
 
 @dataclass(frozen=True)
@@ -24,8 +25,9 @@ class FreeWord:
 
     def __post_init__(self):
         for gen, exp in self.letters:
-            if gen < 1:
-                raise ValueError(f"generator index must be >= 1, got {gen}")
+            # bool passes as the int it equals, as it always has.
+            if type(gen) is not int and not isinstance(gen, int) or gen < 1:
+                raise ValueError(f"generator index must be an integer >= 1, got {gen!r}")
             if exp not in (1, -1):
                 raise ValueError(f"exponent must be +1 or -1, got {exp}")
 
@@ -45,27 +47,64 @@ class InvolutiveWord:
         return len(self.letters)
 
 
-_TOKEN = re.compile(r"x(\d+)(\^-1)?$")
+_TOKEN = re.compile(r"x([0-9]+)(\^-1)?")
+
+
+def _scan_word(text: str) -> FreeWord:
+    """Read the tokens of a word one by one.
+
+    Reports the first bad token as a ParseError at its offset.
+    """
+    letters = []
+    offset = 0
+    for token in text.split():
+        offset = text.index(token, offset)
+        m = _TOKEN.fullmatch(token)
+        gen = _read_int(m.group(1), "generator index", offset) if m else 0
+        if gen < 1:
+            raise ParseError(
+                f"expected a token like 'x2' or 'x2^-1', got {token!r}", offset=offset
+            )
+        letters.append((gen, -1 if m.group(2) else 1))
+        offset += len(token)
+    return FreeWord(tuple(letters))
+
+
+class _LetterOfToken(dict):
+    """The letters of the distinct tokens seen so far, each read on first use.
+
+    Raises ValueError for a token that is not a letter.
+    """
+
+    def __missing__(self, token):
+        m = _TOKEN.fullmatch(token)
+        gen = int(m.group(1)) if m else 0
+        if gen < 1:
+            raise ValueError(token)
+        self[token] = letter = (gen, -1 if m.group(2) else 1)
+        return letter
 
 
 def parse_word(text: str) -> FreeWord:
     """Parse whitespace-separated tokens of the form `x<k>` or `x<k>^-1`.
 
     Other exponents are not part of the grammar; write the token repeatedly
-    instead.
+    instead. Each distinct token is read once, and the tokens are mapped to
+    their letters in bulk; equal letters are one shared tuple. A text with a
+    bad token is read again by `_scan_word`, which reports it.
     """
-    letters = []
-    offset = 0
-    for token in text.split():
-        offset = text.index(token, offset)
-        m = _TOKEN.match(token)
-        if not m or int(m.group(1)) < 1:
-            raise ParseError(
-                f"expected a token like 'x2' or 'x2^-1', got {token!r}", offset=offset
-            )
-        letters.append((int(m.group(1)), -1 if m.group(2) else 1))
-        offset += len(token)
-    return FreeWord(tuple(letters))
+    try:
+        letters = tuple(map(_LetterOfToken().__getitem__, text.split()))
+    except ValueError:
+        return _scan_word(text)
+    return FreeWord(letters)
+
+
+def _expansion(w: FreeWord) -> list[int]:
+    out = []
+    for gen, exp in w.letters:
+        out.extend((1, gen + 1) if exp == 1 else (gen + 1, 1))
+    return out
 
 
 def to_involutive(w: FreeWord) -> InvolutiveWord:
@@ -74,10 +113,7 @@ def to_involutive(w: FreeWord) -> InvolutiveWord:
     Each xn becomes (1, n+1) and each xn^-1 becomes (n+1, 1), so the result
     always has even length, twice the length of the word.
     """
-    out = []
-    for gen, exp in w.letters:
-        out.extend((1, gen + 1) if exp == 1 else (gen + 1, 1))
-    return InvolutiveWord(tuple(out))
+    return InvolutiveWord(tuple(_expansion(w)))
 
 
 def reduce_involutive(a: InvolutiveWord) -> InvolutiveWord:
@@ -101,4 +137,7 @@ def partition_of_word(w: FreeWord) -> Partition:
     The expansion is used exactly as written (adjacent equal letters are
     kept), with no upper points and one lower point per letter.
     """
-    return kernel_partition(to_involutive(w).letters)
+    # FreeWord has checked every index to be an int >= 1, so the expansion
+    # holds positive ints only.
+    labels = _expansion(w)
+    return Partition._from_raw(0, len(labels), canonical_labels(labels))

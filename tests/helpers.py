@@ -1,6 +1,19 @@
 """Shared random generators for the test suite."""
 
-from partcat import ColoredPartition, Partition, SpatialPartition, flatten
+import sys
+
+from partcat import ColoredPartition, ParseError, Partition, SpatialPartition, flatten
+
+#: Every code point that str.isspace() accepts; texts may be padded with any.
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+def parse_outcome(read, *args):
+    """What a reader gives: its result, or its error's type, message and offset."""
+    try:
+        return ("ok", read(*args))
+    except ParseError as e:
+        return ("error", type(e), str(e), e.offset)
 
 
 def random_labels(rng, n, spread=None):

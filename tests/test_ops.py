@@ -230,3 +230,26 @@ def test_size_behavior():
         composed = compose(bottom, top)
         assert composed.size == top.upper_count + bottom.lower_count
         assert composed.num_blocks <= bottom.num_blocks + top.num_blocks
+
+
+def test_long_results_hold_one_object_per_label():
+    # Every distinct label of a result is one shared int object. A relabel
+    # table that hands out a fresh int per position, as an array("i") does,
+    # would hold one int object per point past 256.
+    from partcat import parse_partition, parse_word, partition_of_word
+
+    rng = random.Random(12)
+    n = 1 << 12
+
+    def row_text():
+        labels = [rng.randrange(n // 2) for _ in range(n)]
+        return ",".join(map(str, labels[: n // 2])) + "|" + ",".join(map(str, labels[n // 2 :]))
+
+    p, q = parse_partition(row_text()), parse_partition(row_text())
+    word = " ".join(f"x{rng.randint(1, 600)}" + rng.choice(("", "^-1")) for _ in range(n // 2))
+    results = [p, tensor(p, q), involution(p), reflect_vertical(p)]
+    results += [rotate(p, corner) for corner in CORNERS]
+    results.append(partition_of_word(parse_word(word)))
+    for r in results:
+        assert r.size >= n and r.num_blocks > 256
+        assert len({id(x) for x in r.blocks}) == r.num_blocks

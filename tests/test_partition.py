@@ -114,3 +114,45 @@ def test_hashing_and_sets():
         p = random_partition(rng, 8)
         seen.add(p)
         assert p in seen
+
+
+def _relabel_outcome(relabel, labels):
+    try:
+        return relabel(labels)
+    except Exception as e:  # the exception type is the outcome compared
+        return type(e)
+
+
+def test_canonical_labels_matches_reference_across_the_flat_cut():
+    from partcat.oracles import canonical_labels_reference
+    from partcat.partition import _FLAT_RELABEL
+
+    rng = random.Random(9)
+    cases = []
+    for n in (0, 1, 2, _FLAT_RELABEL - 1, _FLAT_RELABEL, _FLAT_RELABEL + 1, 100, 777):
+        for low, high in ((0, 1), (0, n // 2), (1, n), (0, 2 * n), (0, 2 * n + 1), (5, 3 * n)):
+            labels = [rng.randint(low, max(low, high)) for _ in range(n)]
+            if n:
+                labels[rng.randrange(n)] = max(low, high)  # reach the top of the range
+            cases += [labels, tuple(labels)]
+    long = _FLAT_RELABEL + 36
+    cases += [
+        [-1] + [rng.randrange(10) for _ in range(long)],
+        [rng.randrange(-5, 5) for _ in range(long)],
+        [10**18] + [rng.randrange(10) for _ in range(long)],
+        [rng.choice((0, 1, True, False)) for _ in range(long)],
+        [True] * long,
+        [rng.choice((1, 1.0, 2, 2.5)) for _ in range(long)],
+        [0] * 50 + [1.5] + [100] * 50,
+        [3] * 50 + [float("nan")] + [4] * 50,
+        [rng.choice("abc") for _ in range(long)],
+        [rng.choice((1, "a")) for _ in range(long)],
+        [(1,), (2,)] * long,
+        [None] * long,
+        [[1]] * long,
+        [1, [1]] * long,
+    ]
+    for labels in cases:
+        expected = _relabel_outcome(canonical_labels_reference, labels)
+        assert _relabel_outcome(canonical_labels, labels) == expected, labels
+        assert _relabel_outcome(canonical_labels, iter(labels)) == expected, labels

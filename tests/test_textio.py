@@ -1,5 +1,7 @@
 import json
 import random
+import re
+import sys
 
 import pytest
 
@@ -19,7 +21,7 @@ from partcat.textio import (
     spatial_to_json,
 )
 
-from helpers import random_colored, random_partition, random_spatial
+from helpers import WHITESPACE, parse_outcome, random_colored, random_partition, random_spatial
 
 
 def test_parse_basic():
@@ -192,3 +194,85 @@ def test_json_value_types_raise_parse_error():
             spatial_from_json(f'{{"levels": {levels}, "upper": [1, 2], "lower": [1, 2]}}')
     with pytest.raises(ParseError, match="must be an array"):
         spatial_from_json('{"levels": 1, "upper": 5, "lower": []}')
+
+
+def test_overlong_digit_runs_raise_parse_error():
+    # int() refuses more than 4300 digits by default; the error must still be
+    # a ParseError at the token, in the bulk path and the scanner alike.
+    run = "1" * 5000
+    cases = [
+        (parse_partition, run + "|", 0),
+        (parse_partition, "1, 2|3," + run, 7),
+        (parse_partition, " " + "0" * 4999 + "1|", 1),
+        (parse_colored, "w:" + run + "|:", 2),
+        (parse_spatial, "m=" + run + ";|", 2),
+    ]
+    for parse, text, offset in cases:
+        with pytest.raises(ParseError, match="too long") as e:
+            parse(text)
+        assert e.value.offset == offset
+
+
+def test_re_whitespace_class_is_str_isspace():
+    # The bulk row reader relies on `\s` in _NOT_LABEL_TEXT meaning what
+    # str.strip() strips in the scanner, and on int() stripping no more.
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", everything) == WHITESPACE
+    others = "".join(re.findall(r"\S", everything))
+    assert len(others) + len(WHITESPACE) == len(everything)
+    assert others.strip() == others and others.split() == [others]
+    for c in WHITESPACE:
+        assert (c + "a" + c).strip() == "a" and ("a" + c + "b").split() == ["a", "b"]
+        with pytest.raises(ValueError):
+            int("0" + c + "7")
+        try:
+            assert int(c + "07" + c) == 7
+        except ValueError:  # int() does not strip U+001C..U+001F
+            pass
+
+
+_ROW_TOKENS = ("1", "7", "42", "300", "007", "0", "65536", "999999")
+_BAD_ROW_TOKENS = ("", "1 2", "+1", "-1", "1_0", "\u0663", "\uff11", "\u00b2", "a", "1.5", "0x1")
+
+
+def _random_row(rng):
+    if rng.random() < 0.02:
+        return "1" * rng.choice((4300, 4301, 5000))
+    tokens = []
+    for _ in range(rng.randint(1, 90)):
+        pad = [rng.choice(WHITESPACE) for _ in range(rng.choice((0, 0, 0, 1, 2)))]
+        cut = rng.randint(0, len(pad))
+        token = rng.choice(_BAD_ROW_TOKENS if rng.random() < 0.01 else _ROW_TOKENS)
+        tokens.append("".join(pad[:cut]) + token + "".join(pad[cut:]))
+    return ",".join(tokens)
+
+
+def test_bulk_rows_match_the_token_scanner():
+    from partcat.textio import _parse_labels, _scan_labels
+
+    rng = random.Random(5)
+    kinds = {"ok": 0, "error": 0}
+    for _ in range(3000):
+        row = rng.choice(("", " ", rng.choice(WHITESPACE))) if rng.random() < 0.03 else _random_row(rng)
+        text = "prefix" * rng.randint(0, 1) + row
+        start = len(text) - len(row)
+        bulk = parse_outcome(_parse_labels, text, start, len(text))
+        assert bulk == parse_outcome(_scan_labels, text, start, len(text)), repr(row)
+        kinds[bulk[0]] += 1
+    assert kinds["ok"] > 300 and kinds["error"] > 300
+
+
+def test_parse_partition_matches_the_checking_constructor():
+    from partcat.textio import _scan_labels
+
+    rng = random.Random(6)
+    seen = 0
+    while seen < 300:
+        text = _random_row(rng) + "|" + _random_row(rng)
+        bar = text.index("|")
+        try:
+            upper, lower = _scan_labels(text, 0, bar), _scan_labels(text, bar + 1, len(text))
+        except ParseError:
+            continue
+        seen += 1
+        assert parse_partition(text) == Partition(upper, lower)

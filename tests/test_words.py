@@ -13,6 +13,8 @@ from partcat import (
     to_involutive,
 )
 
+from helpers import WHITESPACE, parse_outcome
+
 
 def test_parse_word():
     w = parse_word("x1 x2 x1^-1 x3^-1 x2 x3")
@@ -27,7 +29,25 @@ def test_parse_word_rejects_bad_tokens():
             parse_word(bad)
 
 
+def test_parse_word_reads_ascii_digits_only():
+    # `\d` matches Arabic-Indic, fullwidth and other decimal digits, which
+    # int() reads; a generator index is ASCII.
+    for text, offset in (("x\u0663", 0), ("x1 x\u0663", 3), ("x1\uff12", 0), ("x\u00b2", 0)):
+        with pytest.raises(ParseError) as e:
+            parse_word(text)
+        assert e.value.offset == offset
+
+
+def test_parse_word_overlong_index_raises_parse_error():
+    for text, offset in (("x" + "1" * 5000, 0), ("x1  x" + "0" * 4300 + "1^-1", 4)):
+        with pytest.raises(ParseError, match="too long") as e:
+            parse_word(text)
+        assert e.value.offset == offset
+
+
 def test_word_validation():
+    with pytest.raises(ValueError):
+        FreeWord(((1.5, 1),))
     with pytest.raises(ValueError):
         FreeWord(((0, 1),))
     with pytest.raises(ValueError):
@@ -107,3 +127,34 @@ def test_block_count_bound():
         p = partition_of_word(w)
         distinct = len({g for g, _ in letters})
         assert p.num_blocks <= 1 + distinct
+
+
+_WORD_TOKENS = ("x1", "x2^-1", "x8", "x12", "x01^-1", "x007", "x300^-1")
+_BAD_WORD_TOKENS = (
+    "x0", "x00", "x", "y1", "x1^2", "x1^-", "x1^-1^-1", "x+1", "x-1", "x1_0",
+    "X1", "x\u0663", "x\uff11", "x\u00b2", "x" + "1" * 4301, "x" + "0" * 4300 + "1",
+)
+
+
+def _random_word(rng):
+    parts = [rng.choice(("", rng.choice(WHITESPACE)))]
+    for _ in range(rng.randint(0, 40)):
+        bad = rng.random() < 0.02
+        parts.append(rng.choice(_BAD_WORD_TOKENS if bad else _WORD_TOKENS))
+        parts.append("".join(rng.choice(WHITESPACE) for _ in range(rng.randint(1, 2))))
+    if rng.random() < 0.5:
+        parts.pop()
+    return "".join(parts)
+
+
+def test_bulk_words_match_the_token_scanner():
+    from partcat.words import _scan_word
+
+    rng = random.Random(4)
+    kinds = {"ok": 0, "error": 0}
+    for _ in range(3000):
+        text = _random_word(rng)
+        bulk = parse_outcome(parse_word, text)
+        assert bulk == parse_outcome(_scan_word, text), repr(text)
+        kinds[bulk[0]] += 1
+    assert kinds["ok"] > 300 and kinds["error"] > 300
