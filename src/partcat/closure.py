@@ -8,7 +8,8 @@ canonical partitions up to the bound is finite, so the worklist terminates
 with the least fixpoint; the member set is independent of exploration
 order.
 
-The size-preserving operations are applied as primitive moves even though a
+The size-preserving operations (the involution, the vertical reflection
+and the top-left corner move) are applied as primitive moves even though a
 category is automatically closed under them, because deriving a rotation
 through base partitions temporarily grows the diagram and would silently
 lose members near the bound.
@@ -39,6 +40,19 @@ and is evaluated once its later element is popped; the unary step then
 adds the other three results; and R and I preserve sizes, so every pair of
 an orbit passes or fails the bound test together. The reference engine
 without this quotient is :func:`partcat.oracles.saturate_reference`.
+
+Of the four corner moves only top-left (tl) is applied; the other three
+are conjugates of it,
+
+    tr == R tl R        bl == I tl I        br == RI tl RI
+
+on every value with a point in the row that moves. This is exact too:
+every member is popped once, and each pop adds its images under R, I and
+tl, so the final member set M is closed under them; rotations preserve
+sizes, so no bound test is involved; and for x in M with an upper point,
+R x is in M and has one, so tl(R x) is in M and so is R tl R x = tr(x).
+The same argument through I gives bl, and through RI gives br, for x with
+a lower point. Any one corner would do.
 """
 
 from __future__ import annotations
@@ -199,10 +213,6 @@ def _saturate(seed, bound, variant):
         add(ref_inv)
         if xu:
             add(rotate(x, "top-left"))
-            add(rotate(x, "top-right"))
-        if xl:
-            add(rotate(x, "bottom-left"))
-            add(rotate(x, "bottom-right"))
         a, ra, ia, ria = members[x], members[ref], members[inv], members[ref_inv]
         ex = (x, a, ra, ia, ria)
 

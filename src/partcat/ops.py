@@ -12,7 +12,6 @@ from array import array
 
 from .errors import EmptyRowError, SizeMismatchError
 from .partition import Partition, canonical_labels
-from .unionfind import components_by_dfs
 
 #: Valid `corner` arguments for :func:`rotate`.
 CORNERS = ("top-left", "top-right", "bottom-left", "bottom-right")
@@ -96,9 +95,12 @@ def compose(p: Partition, q: Partition) -> Partition:
                 rank[x] += 1
     # Relabel the surviving rows by class representative, in one pass that
     # also assigns fresh consecutive labels (so the result is canonical).
+    # The table is a list on both paths: it hands every position of a block
+    # the one int object it stores, where an array would box a fresh int per
+    # position and the result would retain twice the memory.
     out = []
     append = out.append
-    table = [0] * n if small else array("i", bytes(4 * n))
+    table = [0] * n
     nxt = 1
     for v in b[:k]:
         while parent[v] != v:
@@ -120,26 +122,6 @@ def compose(p: Partition, q: Partition) -> Partition:
             nxt += 1
         append(lab)
     return Partition._from_raw(k, p.lower_count, tuple(out))
-
-
-def compose_via_dfs(p: Partition, q: Partition) -> Partition:
-    """Same contract as :func:`compose`, connectivity computed by graph search."""
-    ell = p.upper_count
-    if q.lower_count != ell:
-        raise SizeMismatchError(
-            f"cannot compose: q has {q.lower_count} lower points "
-            f"but p has {ell} upper points"
-        )
-    a, b = p.blocks, q.blocks
-    k = q.upper_count
-    t = max(b) + 1 if b else 1
-    vertices = set(b)
-    vertices.update(x + t for x in a)
-    edges = [(a[i] + t, b[k + i]) for i in range(ell)]
-    rep = components_by_dfs(vertices, edges)
-    out = [rep[v] for v in b[:k]]
-    out += [rep[v + t] for v in a[ell:]]
-    return Partition._from_raw(k, p.lower_count, canonical_labels(out))
 
 
 def corner_move(items, k: int, corner: str, width: int):

@@ -1,20 +1,24 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
-Everything here is deliberately naive: enumeration by restricted growth
-strings, structural predicates checked position by position, a composition
-that merges blocks to a fixpoint instead of using union-find or graph
-search, and a closure worklist that applies every operation to every pair
-of members. Sizes are guarded so a typo cannot trigger an explosion.
+Everything here is deliberately naive or independent of the fast paths:
+enumeration by restricted growth strings, structural predicates checked
+position by position (among them the membership tests of the easy
+categories a closure is checked against), two compositions that find
+connectivity without union-find (by depth-first graph search, and by
+merging blocks to a fixpoint), and a closure worklist that applies every
+operation to every pair of members. Sizes are guarded so a typo cannot
+trigger an explosion.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from math import comb
 
 from .errors import EmptyRowError, EnumerationLimitError, SizeMismatchError
 from .ops import CORNERS
-from .partition import Partition
+from .partition import Partition, canonical_labels
+from .variants import BLACK, WHITE, ColoredPartition, invert_color
 
 #: Largest point count enumerate_all / reference_counts will touch.
 ENUMERATION_LIMIT = 10
@@ -87,10 +91,34 @@ def double_factorial(n: int) -> int:
 
 def is_pair_partition(p: Partition) -> bool:
     """True when every block has exactly two points."""
-    counts: dict[int, int] = {}
-    for b in p.blocks:
-        counts[b] = counts.get(b, 0) + 1
-    return all(c == 2 for c in counts.values())
+    return all(c == 2 for c in Counter(p.blocks).values())
+
+
+def has_even_blocks(p: Partition) -> bool:
+    """True when every block has an even number of points."""
+    return all(c % 2 == 0 for c in Counter(p.blocks).values())
+
+
+def has_blocks_of_at_most_two(p: Partition) -> bool:
+    """True when every block has one or two points."""
+    return all(c <= 2 for c in Counter(p.blocks).values())
+
+
+def is_free_unitary(cp: ColoredPartition) -> bool:
+    """Membership in the free unitary category (Tarrago & Weber, IMRN 2017).
+
+    The base is a noncrossing pair partition, and once the upper row is
+    rotated down, inverting its colors, every block joins a white and a
+    black point.
+    """
+    p = cp.base
+    if not (is_pair_partition(p) and is_noncrossing(p)):
+        return False
+    colors = [invert_color(c) for c in cp.upper_colors] + list(cp.lower_colors)
+    by_block: dict[int, set] = defaultdict(set)
+    for label, c in zip(p.blocks, colors):
+        by_block[label].add(c)
+    return all(cs == {WHITE, BLACK} for cs in by_block.values())
 
 
 def is_noncrossing(p: Partition) -> bool:
@@ -141,6 +169,56 @@ def merge_overlapping(blocks) -> list[set]:
                 owner[e] = idx
         groups = merged
     return groups
+
+
+def components_by_dfs(vertices, edges) -> dict:
+    """Map each vertex to a canonical representative of its connected component.
+
+    Runs an iterative depth-first search over the undirected graph given by
+    `edges`, in time linear in vertices plus edges. Edge endpoints must be
+    listed in `vertices`.
+    """
+    adjacency = {v: [] for v in vertices}
+    for u, v in edges:
+        if u not in adjacency or v not in adjacency:
+            raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    representative = {}
+    for start in adjacency:
+        if start in representative:
+            continue
+        representative[start] = start
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in adjacency[u]:
+                if w not in representative:
+                    representative[w] = start
+                    stack.append(w)
+    return representative
+
+
+def compose_via_dfs(p: Partition, q: Partition) -> Partition:
+    """Same contract as :func:`partcat.ops.compose`, connectivity computed by
+    depth-first search over the blocks of both operands, joined at the
+    interface."""
+    ell = p.upper_count
+    if q.lower_count != ell:
+        raise SizeMismatchError(
+            f"cannot compose: q has {q.lower_count} lower points "
+            f"but p has {ell} upper points"
+        )
+    a, b = p.blocks, q.blocks
+    k = q.upper_count
+    t = max(b) + 1 if b else 1
+    vertices = set(b)
+    vertices.update(x + t for x in a)
+    edges = [(a[i] + t, b[k + i]) for i in range(ell)]
+    rep = components_by_dfs(vertices, edges)
+    out = [rep[v] for v in b[:k]]
+    out += [rep[v + t] for v in a[ell:]]
+    return Partition._from_raw(k, p.lower_count, canonical_labels(out))
 
 
 def compose_reference(p: Partition, q: Partition) -> Partition:

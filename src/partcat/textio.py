@@ -74,13 +74,18 @@ def _parse_labels(text: str, start: int, end: int) -> list[int]:
 
 def parse_partition(text: str) -> Partition:
     """Parse the `<upper>|<lower>` format; the result is canonical."""
-    bar = text.find("|")
+    return _parse_rows(text, 0)
+
+
+def _parse_rows(text: str, start: int) -> Partition:
+    """Parse `text[start:]` as `<upper>|<lower>`; error offsets are within `text`."""
+    bar = text.find("|", start)
     if bar < 0:
         raise ParseError("expected '|' between upper and lower rows", offset=len(text))
     second = text.find("|", bar + 1)
     if second >= 0:
         raise ParseError("unexpected second '|'", offset=second)
-    upper = _parse_labels(text, 0, bar)
+    upper = _parse_labels(text, start, bar)
     lower = _parse_labels(text, bar + 1, len(text))
     # The labels are ints read from ASCII digits, so none is negative and
     # the constructor's check would pass.
@@ -195,7 +200,7 @@ def parse_spatial(text: str) -> SpatialPartition:
         or _read_int(levels_text, "level count", 2) < 1
     ):
         raise ParseError(f"expected a positive level count, got {levels_text!r}", offset=2)
-    flattened = parse_partition(text[semi + 1 :])
+    flattened = _parse_rows(text, semi + 1)
     return SpatialPartition(int(levels_text), flattened)
 
 

@@ -2,13 +2,17 @@ import cProfile
 import pstats
 import random
 from collections import Counter, defaultdict
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from partcat import (
     CORNERS,
+    BLACK,
+    WHITE,
     BoundError,
+    ColoredPartition,
     EmptyRowError,
     IDENTITY,
     PAIR,
@@ -24,6 +28,9 @@ from partcat import (
 from partcat.closure import _COLORED, _PLAIN, _SPATIAL, _saturate
 from partcat.oracles import (
     enumerate_all,
+    has_blocks_of_at_most_two,
+    has_even_blocks,
+    is_free_unitary,
     is_noncrossing,
     is_pair_partition,
     saturate_reference,
@@ -63,6 +70,51 @@ def test_nc_closure_against_oracle(nc_closure_6):
         expected = {p for p in enumerate_all(k, 6 - k) if is_noncrossing(p)}
         assert c.members_of_shape(k, 6 - k) == expected
     assert len(c.members_of_shape(0, 6)) == 132
+
+
+def _all_up_to(bound):
+    return [p for n in range(bound + 1) for k in range(n + 1) for p in enumerate_all(k, n - k)]
+
+
+SINGLETON = Partition([], [1])
+FOUR_BLOCK = Partition([], [1, 1, 1, 1])
+
+
+@pytest.mark.parametrize(
+    "generators, predicate, count",
+    [
+        ([], lambda p: is_pair_partition(p) and is_noncrossing(p), 49),
+        ([FORK], is_noncrossing, 1275),
+        ([FOUR_BLOCK], lambda p: has_even_blocks(p) and is_noncrossing(p), 103),
+        ([SINGLETON], lambda p: has_blocks_of_at_most_two(p) and is_noncrossing(p), 553),
+        ([CROSSING], is_pair_partition, 124),
+        ([FORK, CROSSING], lambda p: True, 1837),
+        ([FOUR_BLOCK, CROSSING], has_even_blocks, 241),
+        ([SINGLETON, CROSSING], has_blocks_of_at_most_two, 763),
+    ],
+    ids=["NC2", "NC", "NC_even", "NC_12", "P2", "P", "P_even", "P_12"],
+)
+def test_easy_categories_at_bound_6(generators, predicate, count):
+    # The eight orthogonal easy categories (Banica & Speicher 2009): a rule
+    # that skips work wrongly shows up only as a missing member.
+    expected = {p for p in _all_up_to(6) if predicate(p)}
+    assert len(expected) == count
+    assert construct_closure(generators, 6).members == expected
+
+
+def test_colored_base_closure_is_free_unitary():
+    # The colored base partitions generate the free unitary category
+    # (Tarrago & Weber, IMRN 2017).
+    for bound, count in ((4, 47), (6, 327)):
+        expected = {
+            ColoredPartition(p, colors[: p.upper_count], colors[p.upper_count :])
+            for p in _all_up_to(bound)
+            if is_pair_partition(p) and is_noncrossing(p)
+            for colors in product((WHITE, BLACK), repeat=p.size)
+        }
+        expected = {x for x in expected if is_free_unitary(x)}
+        assert len(expected) == count
+        assert construct_colored_closure([], bound).members == expected
 
 
 def test_members_of_size_bounds(nc_closure_6):

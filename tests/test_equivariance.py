@@ -1,8 +1,10 @@
-"""Reflection and involution laws of compose and tensor.
+"""Reflection and involution laws of compose, tensor and the corner moves.
 
 The closure engine composes and tensors only one pair per orbit of these
-maps, so its member sets are exact only while the laws hold. A pair whose
-interfaces do not fit must fail on both sides of a law with the same error.
+maps, and applies only the top-left corner move, reaching the other three
+as its conjugates by R and I; so its member sets are exact only while the
+laws hold. A pair whose interfaces do not fit must fail on both sides of a
+law with the same error.
 """
 
 import random
@@ -13,22 +15,25 @@ from partcat import (
     colored_compose,
     colored_involution,
     colored_reflect,
+    colored_rotate,
     colored_tensor,
     compose,
     involution,
     reflect_vertical,
+    rotate,
     spatial_compose,
     spatial_involution,
     spatial_reflect,
+    spatial_rotate,
     spatial_tensor,
     tensor,
 )
 
 from helpers import random_composable_pair, random_partition, random_spatial
 
-PLAIN = (compose, tensor, reflect_vertical, involution)
-COLORED = (colored_compose, colored_tensor, colored_reflect, colored_involution)
-SPATIAL = (spatial_compose, spatial_tensor, spatial_reflect, spatial_involution)
+PLAIN = (compose, tensor, reflect_vertical, involution, rotate)
+COLORED = (colored_compose, colored_tensor, colored_reflect, colored_involution, colored_rotate)
+SPATIAL = (spatial_compose, spatial_tensor, spatial_reflect, spatial_involution, spatial_rotate)
 
 
 def _outcome(fn):
@@ -40,11 +45,16 @@ def _outcome(fn):
 
 def _check_laws(p, q, table):
     """Assert the laws on (p, q); return the error types compose raised."""
-    comp, tens, refl, inv = table
+    comp, tens, refl, inv, rot = table
     for x in (p, q):
         assert refl(refl(x)) == x
         assert inv(inv(x)) == x
         assert refl(inv(x)) == inv(refl(x))
+        if x.upper_points:
+            assert rot(x, "top-right") == refl(rot(refl(x), "top-left"))
+        if x.lower_points:
+            assert rot(x, "bottom-left") == inv(rot(inv(x), "top-left"))
+            assert rot(x, "bottom-right") == refl(inv(rot(inv(refl(x)), "top-left")))
     composed = _outcome(lambda: refl(comp(p, q)))
     assert composed == _outcome(lambda: comp(refl(p), refl(q)))
     assert _outcome(lambda: inv(comp(p, q))) == _outcome(lambda: comp(inv(q), inv(p)))

@@ -247,7 +247,7 @@ def test_long_results_hold_one_object_per_label():
 
     p, q = parse_partition(row_text()), parse_partition(row_text())
     word = " ".join(f"x{rng.randint(1, 600)}" + rng.choice(("", "^-1")) for _ in range(n // 2))
-    results = [p, tensor(p, q), involution(p), reflect_vertical(p)]
+    results = [p, compose(p, q), tensor(p, q), involution(p), reflect_vertical(p)]
     results += [rotate(p, corner) for corner in CORNERS]
     results.append(partition_of_word(parse_word(word)))
     for r in results:

@@ -51,6 +51,11 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as e:
         parse_partition("1,,2|3")
     assert "offset" in str(e.value)
+    # offsets within the whole spatial text, not within the part after ';'
+    for text, offset in (("m=2;1,x|1", 6), ("m=2; 1,2|1,y", 11), ("m=2;1,2|1,2|3", 11)):
+        with pytest.raises(ParseError) as e:
+            parse_spatial(text)
+        assert e.value.offset == offset, text
 
 
 def test_labels_are_ascii_digits_only():
@@ -206,6 +211,7 @@ def test_overlong_digit_runs_raise_parse_error():
         (parse_partition, " " + "0" * 4999 + "1|", 1),
         (parse_colored, "w:" + run + "|:", 2),
         (parse_spatial, "m=" + run + ";|", 2),
+        (parse_spatial, "m=2;" + run + "|", 4),
     ]
     for parse, text, offset in cases:
         with pytest.raises(ParseError, match="too long") as e:
