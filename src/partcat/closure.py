@@ -147,12 +147,16 @@ class ClosureSet:
 
     def members_of_size(self, size: int):
         """All members with the given total number of points."""
+        if size < 0:
+            raise ValueError(f"size must be non-negative, got {size}")
         if size > self.bound:
             raise BoundError(f"size {size} exceeds the bound {self.bound}")
         return {x for (k, l), xs in self._shapes().items() if k + l == size for x in xs}
 
     def members_of_shape(self, k: int, l: int):
         """All members with k upper and l lower points."""
+        if k < 0 or l < 0:
+            raise ValueError(f"shape ({k}, {l}) must be non-negative")
         if k + l > self.bound:
             raise BoundError(f"shape ({k}, {l}) exceeds the bound {self.bound}")
         return set(self._shapes().get((k, l), ()))

@@ -47,10 +47,11 @@ def compose(p: Partition, q: Partition) -> Partition:
     """Stack `q` on top of `p`, gluing q's lower row to p's upper row.
 
     Requires lower_count(q) == upper_count(p). The glued middle points are
-    identified with a union-find pass; the result keeps q's upper row and
+    identified in one union-find forest; the result keeps q's upper row and
     p's lower row. Middle components not connected to either surviving row
-    simply disappear (no loop factor is produced). Quasi-linear in the
-    total number of points.
+    simply disappear (no loop factor is produced). Quasi-linear in the total
+    number of points without union by rank: path halving alone bounds n
+    unions and finds by O(n log n) (Tarjan & van Leeuwen, J. ACM 1984).
     """
     ell = p.upper_count
     if q.lower_count != ell:
@@ -61,24 +62,20 @@ def compose(p: Partition, q: Partition) -> Partition:
     a, b = p.blocks, q.blocks
     k = q.upper_count
     # Shift p's labels above q's so the two block structures are disjoint,
-    # then union each of p's upper labels with the facing lower label of q.
-    # Canonical labels never exceed the number of points, so small inputs
-    # size the scratch space by their lengths and keep it in plain lists,
-    # which are cheaper to make. Large ones size it by their largest labels
-    # in flat arrays, which keep the working set contiguous for the cache
-    # on million-point inputs. Lists and arrays index alike, so one body
-    # serves both.
-    small = len(a) + len(b) <= _SMALL_COMPOSE
-    if small:
+    # then union each of p's upper labels with the facing lower label of q
+    # in one parent forest, with no ranks. Canonical labels never exceed the
+    # number of points, so small inputs size it by their lengths in a list,
+    # which is cheaper to make; large ones size it by their largest labels
+    # in an array("i"), which keeps million-point inputs contiguous for the
+    # cache. Lists and arrays index alike, so one body serves both.
+    if len(a) + len(b) <= _SMALL_COMPOSE:
         t = len(b) + 1
         n = t + len(a) + 1
         parent = list(range(n))
-        rank = [0] * n
     else:
         t = max(b) + 1 if b else 1
         n = t + (max(a) + 1 if a else 1)
         parent = array("i", range(n))
-        rank = bytearray(n)
     for x, y in zip(a, b[k:]):
         x += t
         while parent[x] != x:
@@ -87,12 +84,7 @@ def compose(p: Partition, q: Partition) -> Partition:
         while parent[y] != y:
             parent[y] = parent[parent[y]]
             y = parent[y]
-        if x != y:
-            if rank[x] < rank[y]:
-                x, y = y, x
-            parent[y] = x
-            if rank[x] == rank[y]:
-                rank[x] += 1
+        parent[y] = x  # a no-op when x == y
     # Relabel the surviving rows by class representative, in one pass that
     # also assigns fresh consecutive labels (so the result is canonical).
     # The table is a list on both paths: it hands every position of a block

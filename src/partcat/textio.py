@@ -77,14 +77,20 @@ def parse_partition(text: str) -> Partition:
     return _parse_rows(text, 0)
 
 
-def _parse_rows(text: str, start: int) -> Partition:
-    """Parse `text[start:]` as `<upper>|<lower>`; error offsets are within `text`."""
+def _row_bar(text: str, start: int) -> int:
+    """The offset of the one '|' that splits `text[start:]` into two rows."""
     bar = text.find("|", start)
     if bar < 0:
         raise ParseError("expected '|' between upper and lower rows", offset=len(text))
     second = text.find("|", bar + 1)
     if second >= 0:
         raise ParseError("unexpected second '|'", offset=second)
+    return bar
+
+
+def _parse_rows(text: str, start: int) -> Partition:
+    """Parse `text[start:]` as `<upper>|<lower>`; error offsets are within `text`."""
+    bar = _row_bar(text, start)
     upper = _parse_labels(text, start, bar)
     lower = _parse_labels(text, bar + 1, len(text))
     # The labels are ints read from ASCII digits, so none is negative and
@@ -155,9 +161,7 @@ def _parse_colored_side(text: str, start: int, end: int):
 
 def parse_colored(text: str) -> ColoredPartition:
     """Parse the `<colors>:<upper>|<colors>:<lower>` format."""
-    bar = text.find("|")
-    if bar < 0:
-        raise ParseError("expected '|' between upper and lower rows", offset=len(text))
+    bar = _row_bar(text, 0)
     ucolors, ulabels = _parse_colored_side(text, 0, bar)
     lcolors, llabels = _parse_colored_side(text, bar + 1, len(text))
     return ColoredPartition(Partition(ulabels, llabels), ucolors, lcolors)

@@ -10,7 +10,7 @@ flattened partition after checking that the level counts agree.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from .errors import (
     ColorMismatchError,
@@ -351,12 +351,11 @@ def spatial_reflect(p: SpatialPartition) -> SpatialPartition:
     flat = p.flattened
     ku = flat.upper_count
     b = flat.blocks
-
-    def reverse_columns(row: Sequence[int]) -> list[int]:
-        chunks = [row[i : i + m] for i in range(0, len(row), m)]
-        return [x for chunk in reversed(chunks) for x in chunk]
-
-    labels = reverse_columns(b[:ku]) + reverse_columns(b[ku:])
+    # Within a row, the stride-m slice from j is level j, column by column.
+    labels = list(b)
+    for j in range(m):
+        labels[j:ku:m] = b[j:ku:m][::-1]
+        labels[ku + j :: m] = b[ku + j :: m][::-1]
     return SpatialPartition._from_raw(
         m, Partition._from_raw(ku, flat.lower_count, canonical_labels(labels))
     )

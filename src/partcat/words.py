@@ -40,8 +40,8 @@ class InvolutiveWord:
 
     def __post_init__(self):
         for i in self.letters:
-            if i < 1:
-                raise ValueError(f"letter index must be >= 1, got {i}")
+            if type(i) is not int and not isinstance(i, int) or i < 1:
+                raise ValueError(f"letter index must be an integer >= 1, got {i!r}")
 
     def __len__(self):
         return len(self.letters)

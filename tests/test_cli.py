@@ -113,6 +113,13 @@ def test_generate_exact_size_without_count(capsys):
     assert set(out.strip().split("\n")) == expected
 
 
+def test_generate_negative_exact_size_exits_1(capsys):
+    code, out, err = run(
+        capsys, "generate", "--bound=4", "--exact-size=-1", "--count", "1|1,1"
+    )
+    assert code == 1 and out == "" and "usage error" in err
+
+
 def test_generate_pair_category_count(capsys):
     expected = sum(
         1

@@ -123,6 +123,11 @@ def test_members_of_size_bounds(nc_closure_6):
         nc_closure_6.members_of_size(7)
     with pytest.raises(BoundError):
         nc_closure_6.members_of_shape(4, 4)
+    with pytest.raises(ValueError):
+        nc_closure_6.members_of_size(-1)
+    for k, l in ((-1, 3), (3, -1), (-1, 99)):
+        with pytest.raises(ValueError):
+            nc_closure_6.members_of_shape(k, l)
 
 
 def test_rotation_bijection_between_shapes(nc_closure_6):

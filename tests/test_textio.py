@@ -56,6 +56,9 @@ def test_parse_errors_carry_offsets():
         with pytest.raises(ParseError) as e:
             parse_spatial(text)
         assert e.value.offset == offset, text
+    with pytest.raises(ParseError) as e:
+        parse_colored("w:1|w:1|w:1")
+    assert e.value.offset == 7 and "second '|'" in str(e.value)
 
 
 def test_labels_are_ascii_digits_only():

@@ -308,6 +308,22 @@ def test_spatial_m1_matches_plain_ops():
             assert spatial_compose(sp, sq).flattened == compose(p, q)
 
 
+def test_spatial_reflect_mirrors_columns_keeping_levels():
+    # Built through unflatten/flatten: each point moves to its mirror
+    # position in its own row and keeps its level.
+    assert render_spatial(spatial_reflect(parse_spatial("m=2;1,2,2,3|"))) == "m=2;1,2,3,1|"
+    rng = random.Random(12)
+    for _ in range(300):
+        sp = random_spatial(rng, levels=rng.randint(2, 4))
+        k, l, m = sp.upper_points, sp.lower_points, sp.levels
+
+        def mirror(i):
+            return k + 1 - i if i <= k else 2 * k + l + 1 - i
+
+        blocks = [[(mirror(i), j) for i, j in block] for block in unflatten(sp)]
+        assert spatial_reflect(sp) == SpatialPartition(m, flatten(k, l, m, blocks))
+
+
 def test_spatial_rotate_moves_whole_columns():
     sp = lift_to_levels(Partition([1, 2], [2, 1]), 2)
     r = spatial_rotate(sp, "top-left")

@@ -52,8 +52,10 @@ def test_word_validation():
         FreeWord(((0, 1),))
     with pytest.raises(ValueError):
         FreeWord(((1, 2),))
-    with pytest.raises(ValueError):
-        InvolutiveWord((0,))
+    for letter in (0, "a", 1.5, 2.0, None):
+        with pytest.raises(ValueError):
+            InvolutiveWord((letter,))
+    assert InvolutiveWord((True, 2)).letters == (True, 2)
 
 
 def test_to_involutive_worked_example():
