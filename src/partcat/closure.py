@@ -53,6 +53,57 @@ sizes, so no bound test is involved; and for x in M with an upper point,
 R x is in M and has one, so tl(R x) is in M and so is R tl R x = tr(x).
 The same argument through I gives bl, and through RI gives br, for x with
 a lower point. Any one corner would do.
+
+Of the compose pairs left, the engine skips those whose result the tensor
+and identity laws give from smaller pairs. Members are popped smallest size
+first, and every evaluated z = tensor(x, y) records in z's entry
+
+- bit x.upper_points of z's upper mask when x and y both have upper points,
+  and bit x.lower_points of its lower mask when both have lower points;
+- a column flag when x or y is an identity base, a base of shape (1, 1);
+  the identity bases themselves are flagged from the start.
+
+When x is popped, the records of x, R x, I x and RI x are merged and written
+back to all four: R moves bit i of a row of n points to bit n - i, and I
+swaps the two masks. A compose pair (p bottom, q top) is then skipped when
+
+1. the interface is empty, so a member with no upper points is never a
+   bottom and one with no lower points never a top;
+2. p or q has the column flag: flagged members are never partners;
+3. upper_mask[p] & lower_mask[q] != 0.
+
+This is exact too. Every record holds in the final member set M: bit i of
+z's upper mask means z == tensor(z1, z2) with z1, z2 in M, z1 with i upper
+points and z2 with at least one, and likewise for the lower mask; the flag
+means z is an identity base e, or tensor(e, w) or tensor(w, e) with w in M.
+Records come from evaluated tensors of members, and the merge moves them
+along R(tensor(a, b)) == tensor(R b, R a) and I(tensor(a, b)) ==
+tensor(I a, I b), with R e == I e == e, inside M, which is closed under R
+and I. Now show, by induction on p.size + q.size, that compose(p, q) is in
+M for every composable pair of members whose result fits the bound. If the
+least pair of its orbit was composed, the orbit argument above applies.
+Otherwise a rule held for that least pair when its later member was popped,
+and records only grow:
+
+1. compose(p, q) == tensor(q, p), a tensor within the bound, and tensor
+   pairs are never skipped.
+2. If p is an identity base the result is q, and if q is one it is p. If
+   p == tensor(e, p'), the identity column carries q's first lower point
+   straight down, so compose(p, q) == tl(compose(p', bl q)): the pair
+   (p', bl q) has two points fewer and a result of the same size, and M is
+   closed under tl and bl. p == tensor(p', e) is its mirror image under R,
+   through tr and br; q == tensor(e, q') gives bl(compose(tl p, q')), and
+   q == tensor(q', e) its mirror image.
+3. With p == tensor(p1, p2) and q == tensor(q1, q2) split at the same
+   interface position, compose(p, q) == tensor(compose(p1, q1),
+   compose(p2, q2)). Both pairs are smaller and their results are no
+   larger than compose(p, q), so both are in M, and so is their tensor.
+
+The other pairs of the orbit follow by R and I. Colored identities have
+one color and spatial ones are lifted, so the identity law holds for every
+variant. Pop order changes only how many pairs are skipped, never the
+members; smallest first records most splits before the pairs that need
+them.
 """
 
 from __future__ import annotations
@@ -147,16 +198,15 @@ class ClosureSet:
 
     def members_of_size(self, size: int):
         """All members with the given total number of points."""
-        if size < 0:
-            raise ValueError(f"size must be non-negative, got {size}")
+        _check_count(size, "size")
         if size > self.bound:
             raise BoundError(f"size {size} exceeds the bound {self.bound}")
         return {x for (k, l), xs in self._shapes().items() if k + l == size for x in xs}
 
     def members_of_shape(self, k: int, l: int):
         """All members with k upper and l lower points."""
-        if k < 0 or l < 0:
-            raise ValueError(f"shape ({k}, {l}) must be non-negative")
+        _check_count(k, "upper point count")
+        _check_count(l, "lower point count")
         if k + l > self.bound:
             raise BoundError(f"shape ({k}, {l}) exceeds the bound {self.bound}")
         return set(self._shapes().get((k, l), ()))
@@ -179,17 +229,57 @@ class ClosureSet:
         return sorted(self.members, key=_sort_key)
 
 
-def _saturate(seed, bound, variant):
+def _mirror(mask, n):
+    """Move bit i of a split mask to bit n - i: the splits of R x's row of n points."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << (n + 1 - low.bit_length())
+        mask ^= low
+    return out
+
+
+def _saturate(seed, bound, variant, identities=()):
+    """The members of the closure of `seed` within `bound`, in insertion order.
+
+    `identities` are the identity bases among the seed; without them the
+    engine still saturates, but skips no pair by the identity-column law.
+    """
     members = {}  # member -> insertion index, the order that picks orbit representatives
-    queue = []
+    stacks = [[] for _ in range(bound + 1)]  # unpopped members by size
+    # Split records by member index: bit i of upper_mask (lower_mask) says
+    # the member is a tensor of two members, the left one with i upper
+    # (lower) points and each with a point in that row; column says it is
+    # an identity base, or a tensor of one and a member.
+    upper_mask = []
+    lower_mask = []
+    column = []
 
     def add(x):
         if x not in members:
             members[x] = len(members)
-            queue.append(x)
+            stacks[x.size].append(x)
+            upper_mask.append(0)
+            lower_mask.append(0)
+            column.append(False)
+
+    def add_tensor(p, q, beside_identity):
+        z = tensor(p, q)
+        add(z)
+        i = members[z]
+        pu, pl = p.upper_points, p.lower_points
+        if pu and q.upper_points:
+            upper_mask[i] |= 1 << pu
+        if pl and q.lower_points:
+            lower_mask[i] |= 1 << pl
+        if beside_identity:
+            column[i] = True
 
     for s in seed:
         add(s)
+    identity = {members[e] for e in identities if e in members}
+    for i in identity:
+        column[i] = True
 
     # Popped members as entries (y, b, rb, ib, rib): y with the indices of
     # y, R y, I y and R I y, where R reflects and I is the involution.
@@ -205,8 +295,13 @@ def _saturate(seed, bound, variant):
     tensor = variant.tensor
     compose = variant.compose
 
-    while queue:
-        x = queue.pop()
+    while True:
+        for stack in stacks:  # the smallest unpopped member first
+            if stack:
+                break
+        else:
+            return members.keys()
+        x = stack.pop()
         xu, xl = x.upper_points, x.lower_points
         upper_key, lower_key = x.upper_key, x.lower_key
         inv = involution(x)
@@ -220,10 +315,18 @@ def _saturate(seed, bound, variant):
         a, ra, ia, ria = members[x], members[ref], members[inv], members[ref_inv]
         ex = (x, a, ra, ia, ria)
 
+        # One record for the whole orbit: R mirrors a row's splits, I swaps
+        # the rows.
+        up = upper_mask[a] | lower_mask[ia] | _mirror(upper_mask[ra] | lower_mask[ria], xu)
+        lo = lower_mask[a] | upper_mask[ia] | _mirror(lower_mask[ra] | upper_mask[ria], xl)
+        rup, rlo = _mirror(up, xu), _mirror(lo, xl)
+        upper_mask[a], upper_mask[ra], upper_mask[ia], upper_mask[ria] = up, rup, lo, rlo
+        lower_mask[a], lower_mask[ra], lower_mask[ia], lower_mask[ria] = lo, rlo, up, rup
+        col = column[a] or column[ra] or column[ia] or column[ria]
+        column[a] = column[ra] = column[ia] = column[ria] = col
+
         sx = xu + xl
         by_size[sx].append(ex)
-        as_bottom[upper_key, xl].append(ex)
-        as_top[lower_key, xu].append(ex)
 
         # Each pair is evaluated only if its indices are the least in its
         # orbit: (p, q) is tensored if it is below (R q, R p), (I p, I q)
@@ -233,29 +336,47 @@ def _saturate(seed, bound, variant):
             for ey in by_size.get(s, ()):
                 y, b, rb, ib, rib = ey
                 if (a, b) <= (rb, ra) and (a, b) <= (ia, ib) and (a, b) <= (rib, ria):
-                    add(tensor(x, y))
+                    add_tensor(x, y, a in identity or b in identity)
                 if (
                     ey is not ex
                     and (b, a) <= (ra, rb) and (b, a) <= (ib, ia) and (b, a) <= (ria, rib)
                 ):
-                    add(tensor(y, x))
+                    add_tensor(y, x, a in identity or b in identity)
 
-        # x as the top factor against every registered bottom that keeps the
-        # result within the bound, and the other way around; the x-with-x
-        # pair is covered by the first loop.
-        for bl in range(bound - xu + 1):
-            for bottom, b, rb, ib, rib in as_bottom.get((lower_key, bl), ()):
-                if (b, a) <= (rb, ra) and (b, a) <= (ia, ib) and (b, a) <= (ria, rib):
-                    add(compose(bottom, x))
-        for tu in range(bound - xl + 1):
-            for et in as_top.get((upper_key, tu), ()):
-                top, b, rb, ib, rib = et
-                if (
-                    et is not ex
-                    and (a, b) <= (ra, rb) and (a, b) <= (ib, ia) and (a, b) <= (rib, ria)
-                ):
-                    add(compose(x, top))
-    return members.keys()
+        # Compose pairs whose result the laws give from smaller pairs are
+        # skipped (see the module docstring): a member beside an identity
+        # column is never a partner, nor one whose interface is empty, and a
+        # pair whose interface splits alike on both sides is not composed.
+        if col:
+            continue
+        if xu:
+            as_bottom[upper_key, xl].append(ex)
+        if xl:
+            as_top[lower_key, xu].append(ex)
+            # x as the top factor against every registered bottom that keeps
+            # the result within the bound; the x-with-x pair is here too.
+            for bl in range(bound - xu + 1):
+                for bottom, b, rb, ib, rib in as_bottom.get((lower_key, bl), ()):
+                    if (
+                        not upper_mask[b] & lo
+                        and (b, a) <= (rb, ra) and (b, a) <= (ia, ib) and (b, a) <= (ria, rib)
+                    ):
+                        add(compose(bottom, x))
+        if xu:
+            for tu in range(bound - xl + 1):
+                for et in as_top.get((upper_key, tu), ()):
+                    top, b, rb, ib, rib = et
+                    if (
+                        et is not ex
+                        and not up & lower_mask[b]
+                        and (a, b) <= (ra, rb) and (a, b) <= (ib, ia) and (a, b) <= (rib, ria)
+                    ):
+                        add(compose(x, top))
+
+
+def _check_count(value, what):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
 
 
 def _check_variant(value, variant, role):
@@ -280,7 +401,8 @@ def _construct(generators, bound, variant, bases):
         if g.size > bound:
             raise BoundError(f"generator of size {g.size} exceeds the bound {bound}")
     seed = [b for b in bases if b.size <= bound] + generators
-    members = _saturate(seed, bound, variant)
+    identities = [b for b in bases if b.upper_points == b.lower_points == 1]
+    members = _saturate(seed, bound, variant, identities)
     return ClosureSet(bound, generators, members, variant)
 
 

@@ -127,6 +127,8 @@ def _json_fields(obj, **fields) -> list:
             obj = json.loads(obj)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid JSON: {e.msg}", offset=e.pos) from None
+        except (RecursionError, ValueError) as e:  # too deep, or an over-long number
+            raise ParseError(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
     values = []

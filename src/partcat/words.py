@@ -24,12 +24,18 @@ class FreeWord:
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        for gen, exp in self.letters:
+        for letter in self.letters:
+            try:
+                gen, exp = letter
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"a letter must be a pair (index, exponent), got {letter!r}"
+                ) from None
             # bool passes as the int it equals, as it always has.
             if type(gen) is not int and not isinstance(gen, int) or gen < 1:
                 raise ValueError(f"generator index must be an integer >= 1, got {gen!r}")
-            if exp not in (1, -1):
-                raise ValueError(f"exponent must be +1 or -1, got {exp}")
+            if type(exp) is not int and not isinstance(exp, int) or exp not in (1, -1):
+                raise ValueError(f"exponent must be the integer +1 or -1, got {exp!r}")
 
 
 @dataclass(frozen=True)

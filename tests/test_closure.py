@@ -128,6 +128,12 @@ def test_members_of_size_bounds(nc_closure_6):
     for k, l in ((-1, 3), (3, -1), (-1, 99)):
         with pytest.raises(ValueError):
             nc_closure_6.members_of_shape(k, l)
+    for size in (1.5, 1.0, "a", None, True):
+        with pytest.raises(ValueError):
+            nc_closure_6.members_of_size(size)
+        for shape in ((size, 1), (1, size)):
+            with pytest.raises(ValueError):
+                nc_closure_6.members_of_shape(*shape)
 
 
 def test_rotation_bijection_between_shapes(nc_closure_6):
@@ -279,59 +285,136 @@ def test_engine_matches_reference_saturation():
     assert kinds == {"plain", "colored", "spatial"}
 
 
+def test_constructors_match_reference_saturation():
+    # The same corpus through the constructors, which also hand the engine
+    # the identity bases its column rule needs.
+    rng = random.Random(20250207)
+    for ops, seed, bound in _differential_corpus(rng):
+        if ops is _PLAIN:
+            closure = construct_closure(seed[2:], bound)
+        elif ops is _COLORED:
+            closure = construct_colored_closure(seed[4:], bound)
+        else:
+            closure = construct_spatial_closure(seed[2:], bound, seed[0].levels)
+        assert closure.members == saturate_reference(seed, bound, ops), (ops.kind, seed, bound)
+
+
 class _CountingOps:
-    """An operation table that counts its compose and tensor calls."""
+    """An operation table that records its compose and tensor pairs."""
 
     def __init__(self, ops):
         self._ops = ops
         self.calls = Counter()
+        self.pairs = defaultdict(list)
 
     def __getattr__(self, name):
         return getattr(self._ops, name)
 
     def compose(self, p, q):
         self.calls["compose"] += 1
+        self.pairs["compose"].append((p, q))
         return self._ops.compose(p, q)
 
     def tensor(self, p, q):
         self.calls["tensor"] += 1
+        self.pairs["tensor"].append((p, q))
         return self._ops.tensor(p, q)
 
 
-def _orbit_counts(members, bound, variant):
-    """Orbits of in-bound compose and tensor pairs under reflection and
-    involution, counted from the member set alone."""
-    r = {x: variant.reflect(x) for x in members}
-    i = {x: variant.involution(x) for x in members}
-    composes, tensors = set(), set()
+class _Orbits:
+    """Orbits of pairs under reflection R and involution I, and the in-bound
+    compose and tensor orbits of a member set."""
+
+    def __init__(self, members, bound, variant):
+        self.r = r = {x: variant.reflect(x) for x in members}
+        self.i = {x: variant.involution(x) for x in members}
+        self.tensors = {
+            self.of_tensor(p, q) for p in members for q in members if p.size + q.size <= bound
+        }
+        self.composes = {
+            self.of_compose(p, q)
+            for p in members
+            for q in members
+            if p.upper_key == q.lower_key and q.upper_points + p.lower_points <= bound
+        }
+
+    def of_tensor(self, p, q):
+        r, i = self.r, self.i
+        return frozenset({(p, q), (r[q], r[p]), (i[p], i[q]), (r[i[q]], r[i[p]])})
+
+    def of_compose(self, p, q):
+        r, i = self.r, self.i
+        return frozenset({(p, q), (r[p], r[q]), (i[q], i[p]), (r[i[q]], r[i[p]])})
+
+
+def _compose_cover(members, bound, variant, identities):
+    """A test for compose pairs (p bottom, q top) whose result follows from
+    smaller pairs, built from tensor over all member pairs: an empty
+    interface, an identity base beside a member on either side, or an
+    interface that both sides split at the same position into members."""
+    upper_splits, lower_splits = defaultdict(set), defaultdict(set)
+    beside_identity = set(identities) & members
     for p in members:
         for q in members:
             if p.size + q.size <= bound:
-                tensors.add(frozenset({(p, q), (r[q], r[p]), (i[p], i[q]), (r[i[q]], r[i[p]])}))
-            if p.upper_key == q.lower_key and q.upper_points + p.lower_points <= bound:
-                composes.add(frozenset({(p, q), (r[p], r[q]), (i[q], i[p]), (r[i[q]], r[i[p]])}))
-    return Counter(compose=len(composes), tensor=len(tensors))
+                z = variant.tensor(p, q)
+                if p.upper_points and q.upper_points:
+                    upper_splits[z].add(p.upper_points)
+                if p.lower_points and q.lower_points:
+                    lower_splits[z].add(p.lower_points)
+                if p in identities or q in identities:
+                    beside_identity.add(z)
+
+    def covered(p, q):
+        return (
+            not p.upper_points
+            or p in beside_identity
+            or q in beside_identity
+            or bool(upper_splits[p] & lower_splits[q])
+        )
+
+    return covered
 
 
 def test_engine_work_on_the_924_run():
-    # {fork, identity, pair} @6 evaluates one pair per orbit; the bucketed
+    # {fork, identity, pair} @6 as `generate` runs it: one pair per orbit,
+    # less the compose pairs the tensor and identity laws give. The bucketed
     # partner lists may skip only over-bound pairs, never an evaluated one.
     counting = _CountingOps(_PLAIN)
-    members = _saturate([IDENTITY, PAIR, FORK, IDENTITY, PAIR], 6, counting)
+    members = _saturate([IDENTITY, PAIR, FORK, IDENTITY, PAIR], 6, counting, [IDENTITY])
     assert len(members) == 1275
-    assert counting.calls == Counter(compose=34_875, tensor=1_401)
+    assert counting.calls == Counter(compose=16_138, tensor=1_401)
 
 
 def test_one_evaluation_per_orbit():
-    for ops, seed, bound in (
-        (_PLAIN, [IDENTITY, PAIR, FORK], 5),
-        (_PLAIN, [IDENTITY, PAIR, CROSSING, Partition([1], [1, 2])], 4),
-        (_COLORED, colored_base_partitions(), 5),
-        (_SPATIAL, spatial_base_partitions(2) + [lift_to_levels(FORK, 2)], 4),
+    # Every tensor orbit is evaluated exactly once and no compose orbit
+    # twice. A compose orbit left out must have a pair whose result the laws
+    # give from smaller pairs, by a check built from the final members alone.
+    colored_identities = colored_base_partitions()[:2]
+    for ops, seed, identities, bound in (
+        (_PLAIN, [IDENTITY, PAIR, FORK], [IDENTITY], 5),
+        (_PLAIN, [IDENTITY, PAIR, CROSSING, Partition([1], [1, 2])], [IDENTITY], 4),
+        (_PLAIN, [IDENTITY, PAIR, FORK, Partition([1], [2])], [IDENTITY], 5),
+        (_COLORED, colored_base_partitions(), colored_identities, 5),
+        (
+            _SPATIAL,
+            spatial_base_partitions(2) + [lift_to_levels(FORK, 2)],
+            [lift_to_levels(IDENTITY, 2)],
+            4,
+        ),
     ):
         counting = _CountingOps(ops)
-        members = set(_saturate(seed, bound, counting))
-        assert counting.calls == _orbit_counts(members, bound, ops), ops.kind
+        members = set(_saturate(seed, bound, counting, identities))
+        orbits = _Orbits(members, bound, ops)
+        tensors = Counter(orbits.of_tensor(p, q) for p, q in counting.pairs["tensor"])
+        composes = Counter(orbits.of_compose(p, q) for p, q in counting.pairs["compose"])
+        assert set(tensors) == orbits.tensors, ops.kind
+        assert set(tensors.values()) == {1}, ops.kind
+        assert set(composes) <= orbits.composes, ops.kind
+        assert set(composes.values()) == {1}, ops.kind
+        covered = _compose_cover(members, bound, ops, identities)
+        for orbit in orbits.composes - set(composes):
+            assert any(covered(p, q) for p, q in orbit), (ops.kind, orbit)
 
 
 def _closure_callers(construct, *args):

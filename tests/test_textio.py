@@ -204,6 +204,17 @@ def test_json_value_types_raise_parse_error():
         spatial_from_json('{"levels": 1, "upper": 5, "lower": []}')
 
 
+def test_json_too_deep_or_too_long_raises_parse_error():
+    # json.loads raises RecursionError on deep nesting and a plain ValueError
+    # on a number over int()'s digit limit; neither is a JSONDecodeError.
+    deep = "[" * 100_000
+    long_number = '{"levels": 1, "upper": [' + "1" * 5000 + '], "lower": []}'
+    for read in (partition_from_json, colored_from_json, spatial_from_json):
+        for text in (deep, '{"upper": ' + deep, long_number):
+            with pytest.raises(ParseError, match="invalid JSON"):
+                read(text)
+
+
 def test_overlong_digit_runs_raise_parse_error():
     # int() refuses more than 4300 digits by default; the error must still be
     # a ParseError at the token, in the bulk path and the scanner alike.

@@ -52,6 +52,10 @@ def test_word_validation():
         FreeWord(((0, 1),))
     with pytest.raises(ValueError):
         FreeWord(((1, 2),))
+    for letter in ((1,), (1, 1, 1), 1, None, (1, 1.0), (1, -1.0), (1, "1"), (1, None)):
+        with pytest.raises(ValueError):
+            FreeWord((letter,))
+    assert FreeWord(((1, 1), (2, -1), (True, True))).letters == ((1, 1), (2, -1), (True, True))
     for letter in (0, "a", 1.5, 2.0, None):
         with pytest.raises(ValueError):
             InvolutiveWord((letter,))
