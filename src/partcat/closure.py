@@ -32,14 +32,41 @@ vertical reflection and I the involution,
 
 for every variant, and R, I are commuting involutions. So the results of
 the four pairs in an orbit are the images under 1, R, I and RI of one
-result. Members are numbered in insertion order, a total order fixed for
-the run, and a pair is evaluated only when its pair of numbers is
-lexicographically least in its orbit. This is exact: the member set is
-closed under R and I, so the least pair of every orbit consists of members
-and is evaluated once its later element is popped; the unary step then
-adds the other three results; and R and I preserve sizes, so every pair of
-an orbit passes or fails the bound test together. The reference engine
-without this quotient is :func:`partcat.oracles.saturate_reference`.
+result, which the unary step adds, and R and I preserve sizes, so every
+pair of an orbit passes or fails the bound test together. The reference
+engine without this quotient is :func:`partcat.oracles.saturate_reference`.
+
+The engine processes each member orbit {x, R x, I x, RI x} once, when its
+first member is popped, and pairs it with itself and with the orbits
+processed before it. Call C the map that keeps the order of the factors
+and S the one that swaps it: for tensor C = I and S = R, for compose
+C = R and S = I. C splits the orbit into the classes A = {x, C x} and
+B = {S x, SC x}, which may be one class. The engine files A; if B is
+another class, it runs S x as the first factor against every filed member
+and then files B; last it runs x against every filed member. A first
+factor y with C y == y runs only against the first filed member of each
+class, because (y, q) and (y, C q) are one orbit; the identity and the
+crossing are such factors for both maps, the empty partition for tensor
+and the pair 1,1| for compose.
+
+Each pair orbit has exactly one pair that the engine runs. Take a pair
+orbit with factors from the member orbit O' of x and an orbit O processed
+before it. S moves a pair whose first factor lies in O to one whose first
+factor lies in O', and only 1 and C keep it there. C keeps A and B, so the
+pair orbit has a pair (y, q) with y = x or y = S x, and it is the only one
+but for (y, C q) when C y == y; the run of y against the filed members of
+O takes exactly one of them. Within O' itself, when B != A, S carries
+A x A onto B x B and maps A x B and B x A each onto itself, and C keeps all
+four. The orbits in A x A and B x B are those of (x, x) and (x, C x), run
+by x against A. The orbits in B x A are those of (S x, x), which S fixes,
+and of (S x, C x), which C takes to (SC x, x), so the two differ; S x runs
+them against A, which is all of O' that is filed when S x runs. Likewise
+x runs (x, S x) and (x, SC x) against B. When B == A the orbits in A x A
+are again those of (x, x) and (x, C x), and when C x == x each list loses
+its C-images, as the fixed-factor rule does. Filing B before S x runs
+would also run (S x, S x) and (S x, SC x), whose orbits x runs already.
+Every member is filed under its own interface, since R reverses a colored
+one.
 
 Of the four corner moves only top-left (tl) is applied; the other three
 are conjugates of it,
@@ -47,10 +74,11 @@ are conjugates of it,
     tr == R tl R        bl == I tl I        br == RI tl RI
 
 on every value with a point in the row that moves. This is exact too:
-every member is popped once, and each pop adds its images under R, I and
-tl, so the final member set M is closed under them; rotations preserve
-sizes, so no bound test is involved; and for x in M with an upper point,
-R x is in M and has one, so tl(R x) is in M and so is R tl R x = tr(x).
+every orbit is processed once, and that adds the images of its members
+under R, I and tl, so the final member set M is closed under them;
+rotations preserve sizes, so no bound test is involved; and for x in M
+with an upper point, R x is in M and has one, so tl(R x) is in M and so is
+R tl R x = tr(x).
 The same argument through I gives bl, and through RI gives br, for x with
 a lower point. Any one corner would do.
 
@@ -63,9 +91,10 @@ first, and every evaluated z = tensor(x, y) records in z's entry
 - a column flag when x or y is an identity base, a base of shape (1, 1);
   the identity bases themselves are flagged from the start.
 
-When x is popped, the records of x, R x, I x and RI x are merged and written
-back to all four: R moves bit i of a row of n points to bit n - i, and I
-swaps the two masks. A compose pair (p bottom, q top) is then skipped when
+When the orbit of x is processed, the records of x, R x, I x and RI x are
+merged and written back to all four: R moves bit i of a row of n points to
+bit n - i, and I swaps the two masks. A compose pair (p bottom, q top) is
+then skipped when
 
 1. the interface is empty, so a member with no upper points is never a
    bottom and one with no lower points never a top;
@@ -81,9 +110,9 @@ along R(tensor(a, b)) == tensor(R b, R a) and I(tensor(a, b)) ==
 tensor(I a, I b), with R e == I e == e, inside M, which is closed under R
 and I. Now show, by induction on p.size + q.size, that compose(p, q) is in
 M for every composable pair of members whose result fits the bound. If the
-least pair of its orbit was composed, the orbit argument above applies.
-Otherwise a rule held for that least pair when its later member was popped,
-and records only grow:
+pair the engine ran in its orbit was composed, the orbit argument above
+applies. Otherwise a rule held for the pair the engine ran, when the later
+of its two orbits was processed, and records only grow:
 
 1. compose(p, q) == tensor(q, p), a tensor within the bound, and tensor
    pairs are never skipped.
@@ -245,7 +274,7 @@ def _saturate(seed, bound, variant, identities=()):
     `identities` are the identity bases among the seed; without them the
     engine still saturates, but skips no pair by the identity-column law.
     """
-    members = {}  # member -> insertion index, the order that picks orbit representatives
+    members = {}  # member -> index into the lists below
     stacks = [[] for _ in range(bound + 1)]  # unpopped members by size
     # Split records by member index: bit i of upper_mask (lower_mask) says
     # the member is a tensor of two members, the left one with i upper
@@ -254,6 +283,7 @@ def _saturate(seed, bound, variant, identities=()):
     upper_mask = []
     lower_mask = []
     column = []
+    done = []  # the member's R/I orbit has been processed
 
     def add(x):
         if x not in members:
@@ -262,18 +292,7 @@ def _saturate(seed, bound, variant, identities=()):
             upper_mask.append(0)
             lower_mask.append(0)
             column.append(False)
-
-    def add_tensor(p, q, beside_identity):
-        z = tensor(p, q)
-        add(z)
-        i = members[z]
-        pu, pl = p.upper_points, p.lower_points
-        if pu and q.upper_points:
-            upper_mask[i] |= 1 << pu
-        if pl and q.lower_points:
-            lower_mask[i] |= 1 << pl
-        if beside_identity:
-            column[i] = True
+            done.append(False)
 
     for s in seed:
         add(s)
@@ -281,14 +300,11 @@ def _saturate(seed, bound, variant, identities=()):
     for i in identity:
         column[i] = True
 
-    # Popped members as entries (y, b, rb, ib, rib): y with the indices of
-    # y, R y, I y and R I y, where R reflects and I is the involution.
-    # Compose partners are bucketed by their interface and the point count
-    # of their free row, so a popped member visits only the buckets whose
-    # results stay within the bound.
+    # Processed members as (y, index of y, first filed of its class): tensor
+    # right factors by size, compose tops by their own lower-row interface
+    # and upper points, so a run visits only the buckets within the bound.
     by_size = defaultdict(list)
-    as_bottom = defaultdict(list)  # by (upper-row interface, lower points)
-    as_top = defaultdict(list)  # by (lower-row interface, upper points)
+    as_top = defaultdict(list)
     involution = variant.involution
     reflect = variant.reflect
     rotate = variant.rotate
@@ -302,18 +318,22 @@ def _saturate(seed, bound, variant, identities=()):
         else:
             return members.keys()
         x = stack.pop()
+        a = members[x]
+        if done[a]:
+            continue
+        # The orbit of x under R, the reflection, and I, the involution.
         xu, xl = x.upper_points, x.lower_points
-        upper_key, lower_key = x.upper_key, x.lower_key
         inv = involution(x)
         ref = reflect(x)
         ref_inv = reflect(inv)
         add(inv)
         add(ref)
         add(ref_inv)
-        if xu:
-            add(rotate(x, "top-left"))
-        a, ra, ia, ria = members[x], members[ref], members[inv], members[ref_inv]
-        ex = (x, a, ra, ia, ria)
+        ra, ia, ria = members[ref], members[inv], members[ref_inv]
+        for i, y in {a: x, ra: ref, ia: inv, ria: ref_inv}.items():
+            done[i] = True
+            if y.upper_points:
+                add(rotate(y, "top-left"))
 
         # One record for the whole orbit: R mirrors a row's splits, I swaps
         # the rows.
@@ -325,53 +345,60 @@ def _saturate(seed, bound, variant, identities=()):
         col = column[a] or column[ra] or column[ia] or column[ria]
         column[a] = column[ra] = column[ia] = column[ria] = col
 
+        # Tensor: I-classes; y is the left factor.
         sx = xu + xl
-        by_size[sx].append(ex)
+        fixed = ia == a  # I fixes x, and so R x
+        for y, i, first in _orbit_steps(x, a, inv, ia, ref, ra, ref_inv, ria):
+            if first is not None:
+                by_size[sx].append((y, i, first))
+                continue
+            yu, yl, beside = y.upper_points, y.lower_points, i in identity
+            for s in range(bound - sx + 1):
+                for q, j, q_first in by_size.get(s, ()):
+                    if q_first or not fixed:
+                        z = tensor(y, q)
+                        add(z)
+                        k = members[z]
+                        if yu and q.upper_points:
+                            upper_mask[k] |= 1 << yu
+                        if yl and q.lower_points:
+                            lower_mask[k] |= 1 << yl
+                        if beside or j in identity:
+                            column[k] = True
 
-        # Each pair is evaluated only if its indices are the least in its
-        # orbit: (p, q) is tensored if it is below (R q, R p), (I p, I q)
-        # and (R I q, R I p), composed if below (R p, R q), (I q, I p) and
-        # (R I q, R I p).
-        for s in range(bound - sx + 1):
-            for ey in by_size.get(s, ()):
-                y, b, rb, ib, rib = ey
-                if (a, b) <= (rb, ra) and (a, b) <= (ia, ib) and (a, b) <= (rib, ria):
-                    add_tensor(x, y, a in identity or b in identity)
-                if (
-                    ey is not ex
-                    and (b, a) <= (ra, rb) and (b, a) <= (ib, ia) and (b, a) <= (ria, rib)
-                ):
-                    add_tensor(y, x, a in identity or b in identity)
-
-        # Compose pairs whose result the laws give from smaller pairs are
-        # skipped (see the module docstring): a member beside an identity
+        # Compose: R-classes; y is the bottom. A member beside an identity
         # column is never a partner, nor one whose interface is empty, and a
         # pair whose interface splits alike on both sides is not composed.
         if col:
             continue
-        if xu:
-            as_bottom[upper_key, xl].append(ex)
-        if xl:
-            as_top[lower_key, xu].append(ex)
-            # x as the top factor against every registered bottom that keeps
-            # the result within the bound; the x-with-x pair is here too.
-            for bl in range(bound - xu + 1):
-                for bottom, b, rb, ib, rib in as_bottom.get((lower_key, bl), ()):
-                    if (
-                        not upper_mask[b] & lo
-                        and (b, a) <= (rb, ra) and (b, a) <= (ia, ib) and (b, a) <= (ria, rib)
-                    ):
-                        add(compose(bottom, x))
-        if xu:
-            for tu in range(bound - xl + 1):
-                for et in as_top.get((upper_key, tu), ()):
-                    top, b, rb, ib, rib = et
-                    if (
-                        et is not ex
-                        and not up & lower_mask[b]
-                        and (a, b) <= (ra, rb) and (a, b) <= (ib, ia) and (a, b) <= (rib, ria)
-                    ):
-                        add(compose(x, top))
+        fixed = ra == a  # R fixes x, and so I x
+        for y, i, first in _orbit_steps(x, a, ref, ra, inv, ia, ref_inv, ria):
+            if first is not None:
+                if y.lower_points:
+                    as_top[y.lower_key, y.upper_points].append((y, i, first))
+            elif y.upper_points:
+                key, mask = y.upper_key, upper_mask[i]
+                for tu in range(bound - y.lower_points + 1):
+                    for q, j, q_first in as_top.get((key, tu), ()):
+                        if (q_first or not fixed) and not mask & lower_mask[j]:
+                            add(compose(y, q))
+
+
+def _orbit_steps(x, a, mate, b, y, c, y_mate, d):
+    """The steps for one member orbit split into the classes {x, mate} and
+    {y, y_mate} (indices a, b, c, d), in the order the module docstring
+    gives: (member, index, first) files the member, first telling whether it
+    is the first filed of its class, and (member, index, None) runs it as
+    the first factor against every filed member."""
+    steps = [(x, a, True)]
+    if b != a:
+        steps.append((mate, b, False))
+    if c != a and c != b:
+        steps += (y, c, None), (y, c, True)
+        if d != c:
+            steps.append((y_mate, d, False))
+    steps.append((x, a, None))
+    return steps
 
 
 def _check_count(value, what):

@@ -68,6 +68,8 @@ def canonical_labels_reference(labels) -> tuple:
 
 def bell_number(n: int) -> int:
     """Number of set partitions of an n-element set, via the Bell triangle."""
+    if n < 0:
+        raise ValueError("the set size must be non-negative")
     row = [1]
     for _ in range(n):
         nxt = [row[-1]]
@@ -256,6 +258,8 @@ def reference_counts(size: int) -> dict[str, int]:
     Computed by filtering the full enumeration over every (upper, lower)
     split, not from closed formulas, so the formulas stay independent.
     """
+    if size < 0:
+        raise ValueError("size must be non-negative")
     if size > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"refusing to count partitions on {size} points (limit {ENUMERATION_LIMIT})"

@@ -17,6 +17,7 @@ from .errors import (
     LevelMismatchError,
     LevelStructureError,
     SizeMismatchError,
+    VariantMismatchError,
 )
 from .ops import compose, corner_move, involution, reflect_vertical, rotate, tensor
 from .partition import IDENTITY, PAIR, Partition, canonical_labels
@@ -24,6 +25,11 @@ from .partition import IDENTITY, PAIR, Partition, canonical_labels
 WHITE = "w"
 BLACK = "b"
 _COLORS = (WHITE, BLACK)
+
+
+def _check_partition(value, role):
+    if not isinstance(value, Partition):
+        raise VariantMismatchError(f"{role} must be a Partition, got {type(value).__name__}")
 
 
 def invert_color(c: str) -> str:
@@ -40,6 +46,7 @@ class ColoredPartition:
     __slots__ = ("base", "upper_colors", "lower_colors", "_hash")
 
     def __init__(self, base: Partition, upper_colors: Iterable[str], lower_colors: Iterable[str]):
+        _check_partition(base, "the base")
         uc = tuple(upper_colors)
         lc = tuple(lower_colors)
         if len(uc) != base.upper_count or len(lc) != base.lower_count:
@@ -188,6 +195,7 @@ class SpatialPartition:
     def __init__(self, levels: int, flattened: Partition):
         if isinstance(levels, bool) or not isinstance(levels, int) or levels < 1:
             raise ValueError(f"levels must be a positive integer, got {levels!r}")
+        _check_partition(flattened, "the flattened value")
         if flattened.upper_count % levels or flattened.lower_count % levels:
             raise LevelStructureError(
                 f"flattened rows of lengths {flattened.upper_count}/"
@@ -257,9 +265,9 @@ def flatten(k: int, l: int, m: int, blocks) -> Partition:
     seen = 0
     for index, block in enumerate(blocks, start=1):
         for i, j in block:
-            if not (1 <= i <= n and 1 <= j <= m):
+            if not (type(i) is type(j) is int and 1 <= i <= n and 1 <= j <= m):
                 raise LevelStructureError(
-                    f"point ({i}, {j}) outside {{1..{n}}} x {{1..{m}}}"
+                    f"point ({i!r}, {j!r}) is not in {{1..{n}}} x {{1..{m}}}"
                 )
             pos = m * (i - 1) + j - 1
             if labels[pos]:
@@ -291,6 +299,7 @@ def unflatten(sp: SpatialPartition) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def lift_to_levels(p: Partition, m: int) -> SpatialPartition:
     """Place an independent copy of `p` on each of `m` levels."""
+    _check_partition(p, "the lifted value")
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError(f"levels must be a positive integer, got {m!r}")
     labels = []

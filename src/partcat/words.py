@@ -17,6 +17,11 @@ from .partition import Partition, canonical_labels
 from .textio import _read_int
 
 
+def _check_tuple(letters):
+    if not isinstance(letters, tuple):
+        raise ValueError(f"letters must be a tuple, got {type(letters).__name__}")
+
+
 @dataclass(frozen=True)
 class FreeWord:
     """A word x_{i1}^{e1} ... x_{im}^{em} with indices >= 1 and exponents +-1."""
@@ -24,6 +29,7 @@ class FreeWord:
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        _check_tuple(self.letters)
         for letter in self.letters:
             try:
                 gen, exp = letter
@@ -45,6 +51,7 @@ class InvolutiveWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
+        _check_tuple(self.letters)
         for i in self.letters:
             if type(i) is not int and not isinstance(i, int) or i < 1:
                 raise ValueError(f"letter index must be an integer >= 1, got {i!r}")

@@ -57,6 +57,10 @@ def test_enumeration_guard():
         reference_counts(11)
     with pytest.raises(ValueError):
         enumerate_all(-1, 2)
+    with pytest.raises(ValueError):
+        reference_counts(-1)
+    with pytest.raises(ValueError):
+        bell_number(-1)
 
 
 def test_pair_predicate():

@@ -15,6 +15,7 @@ from partcat import (
     Partition,
     SizeMismatchError,
     SpatialPartition,
+    VariantMismatchError,
     WHITE,
     colored_base_partitions,
     colored_compose,
@@ -234,6 +235,23 @@ def test_flatten_rejects_malformed_blocks():
         flatten(1, 1, 2, [[(1, 1), (1, 1), (1, 2), (2, 1), (2, 2)]])
     with pytest.raises(LevelStructureError):
         flatten(1, 0, 1, [[(1, 1), (2, 1)]])  # out of range
+    for point in ((1.0, 1), (1, 1.0), (True, 1), (1, True), ("1", 1)):
+        with pytest.raises(LevelStructureError):
+            flatten(1, 1, 1, [[point, (2, 1)]])
+
+
+def test_checking_constructors_reject_non_partitions():
+    for make in (
+        lambda: ColoredPartition("x", "", ""),
+        lambda: ColoredPartition(None, "", ""),
+        lambda: ColoredPartition(lift_to_levels(IDENTITY, 1), "w", "w"),
+        lambda: SpatialPartition(2, "x"),
+        lambda: SpatialPartition(1, ColoredPartition(IDENTITY, "w", "w")),
+        lambda: lift_to_levels("x", 2),
+        lambda: lift_to_levels(ColoredPartition(IDENTITY, "w", "w"), 1),
+    ):
+        with pytest.raises(VariantMismatchError):
+            make()
 
 
 def test_divisibility_invariant():

@@ -60,6 +60,13 @@ def test_word_validation():
         with pytest.raises(ValueError):
             InvolutiveWord((letter,))
     assert InvolutiveWord((True, 2)).letters == (True, 2)
+    # The letters must come as a tuple, checked once for the whole word.
+    for letters in (5, None, [(1, 1)]):
+        with pytest.raises(ValueError):
+            FreeWord(letters)
+    for letters in (5, None, [1]):
+        with pytest.raises(ValueError):
+            InvolutiveWord(letters)
 
 
 def test_to_involutive_worked_example():
