@@ -88,8 +88,8 @@ first, and every evaluated z = tensor(x, y) records in z's entry
 
 - bit x.upper_points of z's upper mask when x and y both have upper points,
   and bit x.lower_points of its lower mask when both have lower points;
-- a column flag when x or y is an identity base, a base of shape (1, 1);
-  the identity bases themselves are flagged from the start.
+- a column flag when x or y is an identity base; the engine flags the
+  bases of shape (1, 1), the identity bases, from the start.
 
 When the orbit of x is processed, the records of x, R x, I x and RI x are
 merged and written back to all four: R moves bit i of a row of n points to
@@ -144,7 +144,7 @@ from typing import NamedTuple
 
 from . import ops as _ops
 from . import variants as _v
-from .errors import BoundError, LevelMismatchError, VariantMismatchError
+from .errors import BoundError, LevelMismatchError, VariantMismatchError, check_count, check_type
 from .partition import IDENTITY, PAIR, Partition
 
 
@@ -227,15 +227,15 @@ class ClosureSet:
 
     def members_of_size(self, size: int):
         """All members with the given total number of points."""
-        _check_count(size, "size")
+        check_count(size, 0, "size")
         if size > self.bound:
             raise BoundError(f"size {size} exceeds the bound {self.bound}")
         return {x for (k, l), xs in self._shapes().items() if k + l == size for x in xs}
 
     def members_of_shape(self, k: int, l: int):
         """All members with k upper and l lower points."""
-        _check_count(k, "upper point count")
-        _check_count(l, "lower point count")
+        check_count(k, 0, "upper point count")
+        check_count(l, 0, "lower point count")
         if k + l > self.bound:
             raise BoundError(f"shape ({k}, {l}) exceeds the bound {self.bound}")
         return set(self._shapes().get((k, l), ()))
@@ -246,7 +246,7 @@ class ClosureSet:
         False only states that no derivation stayed within the bound; it
         does not rule out membership in the generated category.
         """
-        _check_variant(p, self._variant, "queries")
+        check_type(p, self._variant.value_type, "the queried value", VariantMismatchError)
         if p.size > self.bound:
             raise BoundError(
                 f"partition of size {p.size} exceeds the bound {self.bound}"
@@ -268,11 +268,13 @@ def _mirror(mask, n):
     return out
 
 
-def _saturate(seed, bound, variant, identities=()):
-    """The members of the closure of `seed` within `bound`, in insertion order.
+def _saturate(bases, generators, bound, variant):
+    """The members of the closure of `bases` and `generators` within `bound`,
+    in insertion order.
 
-    `identities` are the identity bases among the seed; without them the
-    engine still saturates, but skips no pair by the identity-column law.
+    The bases that fit the bound are added first, then the generators. The
+    engine flags the bases of shape (1, 1), the identity bases, for the
+    identity-column law.
     """
     members = {}  # member -> index into the lists below
     stacks = [[] for _ in range(bound + 1)]  # unpopped members by size
@@ -294,11 +296,15 @@ def _saturate(seed, bound, variant, identities=()):
             column.append(False)
             done.append(False)
 
-    for s in seed:
-        add(s)
-    identity = {members[e] for e in identities if e in members}
-    for i in identity:
-        column[i] = True
+    identity = set()  # indices of the identity bases
+    for b in bases:
+        if b.size <= bound:
+            add(b)
+            if b.upper_points == b.lower_points == 1:
+                identity.add(members[b])
+                column[members[b]] = True
+    for g in generators:
+        add(g)
 
     # Processed members as (y, index of y, first filed of its class): tensor
     # right factors by size, compose tops by their own lower-row interface
@@ -401,36 +407,20 @@ def _orbit_steps(x, a, mate, b, y, c, y_mate, d):
     return steps
 
 
-def _check_count(value, what):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
-
-
-def _check_variant(value, variant, role):
-    if not isinstance(value, variant.value_type):
-        raise VariantMismatchError(
-            f"{variant.kind} closure needs {variant.value_type.__name__} {role}, "
-            f"got {type(value).__name__}"
-        )
-
-
 def _checked(generators, variant):
     generators = list(generators)
+    role = f"a {variant.kind} closure generator"
     for g in generators:
-        _check_variant(g, variant, "generators")
+        check_type(g, variant.value_type, role, VariantMismatchError)
     return generators
 
 
 def _construct(generators, bound, variant, bases):
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
-        raise ValueError(f"bound must be a positive integer, got {bound!r}")
+    check_count(bound, 1, "bound")
     for g in generators:
         if g.size > bound:
             raise BoundError(f"generator of size {g.size} exceeds the bound {bound}")
-    seed = [b for b in bases if b.size <= bound] + generators
-    identities = [b for b in bases if b.upper_points == b.lower_points == 1]
-    members = _saturate(seed, bound, variant, identities)
-    return ClosureSet(bound, generators, members, variant)
+    return ClosureSet(bound, generators, _saturate(bases, generators, bound, variant), variant)
 
 
 def construct_closure(generators: Iterable[Partition], bound: int) -> ClosureSet:

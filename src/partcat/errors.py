@@ -1,4 +1,5 @@
-"""Exception types raised by partcat.
+"""Exception types raised by partcat, and the two argument checks shared
+by its modules.
 
 All domain errors derive from PartitionError so callers (and the CLI) can
 distinguish violated preconditions from plain parse/usage problems.
@@ -49,3 +50,23 @@ class ParseError(ValueError):
         if offset is not None:
             message = f"{message} (at offset {offset})"
         super().__init__(message)
+
+
+def check_type(value, cls, role, error):
+    """Raise `error` unless `value` is a `cls`.
+
+    The exact type test comes first, so a value of the type itself costs
+    one comparison.
+    """
+    if type(value) is not cls and not isinstance(value, cls):
+        name = cls.__name__
+        article = "an" if name[0] in "AEIOU" else "a"
+        raise error(f"{role} must be {article} {name}, got {type(value).__name__}")
+
+
+def check_count(value, least, what):
+    """Raise ValueError unless `value` is an int (not a bool) >= `least`,
+    which is 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{what} must be a {kind} integer, got {value!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from array import array
 
-from .errors import EmptyRowError, SizeMismatchError
+from .errors import EmptyRowError, SizeMismatchError, VariantMismatchError, check_type
 from .partition import Partition, canonical_labels
 
 #: Valid `corner` arguments for :func:`rotate`.
@@ -22,6 +22,7 @@ _SMALL_COMPOSE = 64
 
 def involution(p: Partition) -> Partition:
     """Swap the upper and lower rows (reflection along the horizontal axis)."""
+    check_type(p, Partition, "an operand", VariantMismatchError)
     k = p.upper_count
     b = p.blocks
     return Partition._from_raw(
@@ -31,6 +32,8 @@ def involution(p: Partition) -> Partition:
 
 def tensor(p: Partition, q: Partition) -> Partition:
     """Concatenate horizontally: upper rows side by side, then lower rows."""
+    check_type(p, Partition, "an operand", VariantMismatchError)
+    check_type(q, Partition, "an operand", VariantMismatchError)
     a, b = p.blocks, q.blocks
     k1, k2 = p.upper_count, q.upper_count
     t = max(b) + 1 if b else 1
@@ -53,6 +56,8 @@ def compose(p: Partition, q: Partition) -> Partition:
     number of points without union by rank: path halving alone bounds n
     unions and finds by O(n log n) (Tarjan & van Leeuwen, J. ACM 1984).
     """
+    check_type(p, Partition, "an operand", VariantMismatchError)
+    check_type(q, Partition, "an operand", VariantMismatchError)
     ell = p.upper_count
     if q.lower_count != ell:
         raise SizeMismatchError(
@@ -148,12 +153,14 @@ def rotate(p: Partition, corner: str) -> Partition:
     the end of the lower row; "bottom-left" and "bottom-right" are the
     inverse moves. Block membership of the moved point is preserved.
     """
+    check_type(p, Partition, "an operand", VariantMismatchError)
     moved, k, _ = corner_move(p.blocks, p.upper_count, corner, 1)
     return Partition._from_raw(k, len(moved) - k, canonical_labels(moved))
 
 
 def reflect_vertical(p: Partition) -> Partition:
     """Reverse both rows (reflection along the vertical axis)."""
+    check_type(p, Partition, "an operand", VariantMismatchError)
     k = p.upper_count
     b = p.blocks
     return Partition._from_raw(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from math import comb
 
-from .errors import EmptyRowError, EnumerationLimitError, SizeMismatchError
+from .errors import EmptyRowError, EnumerationLimitError, SizeMismatchError, check_count
 from .ops import CORNERS
 from .partition import Partition, canonical_labels
 from .variants import BLACK, WHITE, ColoredPartition, invert_color
@@ -48,8 +48,8 @@ def growth_strings(n: int):
 
 def enumerate_all(k: int, l: int) -> set[Partition]:
     """All canonical partitions with k upper and l lower points."""
-    if k < 0 or l < 0:
-        raise ValueError("point counts must be non-negative")
+    check_count(k, 0, "upper point count")
+    check_count(l, 0, "lower point count")
     n = k + l
     if n > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
@@ -68,8 +68,7 @@ def canonical_labels_reference(labels) -> tuple:
 
 def bell_number(n: int) -> int:
     """Number of set partitions of an n-element set, via the Bell triangle."""
-    if n < 0:
-        raise ValueError("the set size must be non-negative")
+    check_count(n, 0, "the set size")
     row = [1]
     for _ in range(n):
         nxt = [row[-1]]
@@ -258,8 +257,7 @@ def reference_counts(size: int) -> dict[str, int]:
     Computed by filtering the full enumeration over every (upper, lower)
     split, not from closed formulas, so the formulas stay independent.
     """
-    if size < 0:
-        raise ValueError("size must be non-negative")
+    check_count(size, 0, "size")
     if size > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"refusing to count partitions on {size} points (limit {ENUMERATION_LIMIT})"

@@ -79,8 +79,14 @@ class Partition:
     __slots__ = ("upper_count", "lower_count", "blocks", "_hash")
 
     def __init__(self, upper: Sequence[int] = (), lower: Sequence[int] = ()):
-        upper = tuple(upper)
-        lower = tuple(lower)
+        try:
+            rows = tuple(upper), tuple(lower)
+        except TypeError:
+            raise ValueError(
+                f"rows must be iterables of labels, got "
+                f"{type(upper).__name__} and {type(lower).__name__}"
+            ) from None
+        upper, lower = rows
         for row in (upper, lower):
             for x in row:
                 # bool is an int subclass but not a label; the exact type
@@ -173,5 +179,5 @@ def kernel_partition(values: Sequence[int]) -> Partition:
 
     Lower points s and t share a block exactly when values[s] == values[t].
     """
-    return Partition((), tuple(values))
+    return Partition((), values)
 

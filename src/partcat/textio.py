@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 
-from .errors import ParseError
+from .errors import ParseError, VariantMismatchError, check_type
 from .partition import Partition, canonical_labels
 from .variants import ColoredPartition, SpatialPartition
 
@@ -99,6 +99,7 @@ def _parse_rows(text: str, start: int) -> Partition:
 
 
 def render_partition(p: Partition, fmt: str = "text") -> str:
+    check_type(p, Partition, "the rendered value", VariantMismatchError)
     if fmt == "text":
         return str(p)
     if fmt == "json":
@@ -107,6 +108,7 @@ def render_partition(p: Partition, fmt: str = "text") -> str:
 
 
 def partition_to_json(p: Partition) -> dict:
+    check_type(p, Partition, "the rendered value", VariantMismatchError)
     return {"upper": list(p.upper), "lower": list(p.lower)}
 
 
@@ -170,6 +172,7 @@ def parse_colored(text: str) -> ColoredPartition:
 
 
 def render_colored(cp: ColoredPartition, fmt: str = "text") -> str:
+    check_type(cp, ColoredPartition, "the rendered value", VariantMismatchError)
     if fmt == "text":
         up = ",".join(map(str, cp.base.upper))
         lo = ",".join(map(str, cp.base.lower))
@@ -180,6 +183,7 @@ def render_colored(cp: ColoredPartition, fmt: str = "text") -> str:
 
 
 def colored_to_json(cp: ColoredPartition) -> dict:
+    check_type(cp, ColoredPartition, "the rendered value", VariantMismatchError)
     out = partition_to_json(cp.base)
     out["upper_colors"] = "".join(cp.upper_colors)
     out["lower_colors"] = "".join(cp.lower_colors)
@@ -211,6 +215,7 @@ def parse_spatial(text: str) -> SpatialPartition:
 
 
 def render_spatial(sp: SpatialPartition, fmt: str = "text") -> str:
+    check_type(sp, SpatialPartition, "the rendered value", VariantMismatchError)
     if fmt == "text":
         return f"m={sp.levels};{sp.flattened}"
     if fmt == "json":
@@ -219,6 +224,7 @@ def render_spatial(sp: SpatialPartition, fmt: str = "text") -> str:
 
 
 def spatial_to_json(sp: SpatialPartition) -> dict:
+    check_type(sp, SpatialPartition, "the rendered value", VariantMismatchError)
     out = {"levels": sp.levels}
     out.update(partition_to_json(sp.flattened))
     return out

@@ -18,6 +18,8 @@ from .errors import (
     LevelStructureError,
     SizeMismatchError,
     VariantMismatchError,
+    check_count,
+    check_type,
 )
 from .ops import compose, corner_move, involution, reflect_vertical, rotate, tensor
 from .partition import IDENTITY, PAIR, Partition, canonical_labels
@@ -25,11 +27,6 @@ from .partition import IDENTITY, PAIR, Partition, canonical_labels
 WHITE = "w"
 BLACK = "b"
 _COLORS = (WHITE, BLACK)
-
-
-def _check_partition(value, role):
-    if not isinstance(value, Partition):
-        raise VariantMismatchError(f"{role} must be a Partition, got {type(value).__name__}")
 
 
 def invert_color(c: str) -> str:
@@ -46,9 +43,15 @@ class ColoredPartition:
     __slots__ = ("base", "upper_colors", "lower_colors", "_hash")
 
     def __init__(self, base: Partition, upper_colors: Iterable[str], lower_colors: Iterable[str]):
-        _check_partition(base, "the base")
-        uc = tuple(upper_colors)
-        lc = tuple(lower_colors)
+        check_type(base, Partition, "the base", VariantMismatchError)
+        try:
+            uc = tuple(upper_colors)
+            lc = tuple(lower_colors)
+        except TypeError:
+            raise ValueError(
+                f"color rows must be iterables of colors, got "
+                f"{type(upper_colors).__name__} and {type(lower_colors).__name__}"
+            ) from None
         if len(uc) != base.upper_count or len(lc) != base.lower_count:
             raise ValueError(
                 f"color strings of lengths {len(uc)}/{len(lc)} do not match "
@@ -120,6 +123,8 @@ class ColoredPartition:
 
 def colored_tensor(p: ColoredPartition, q: ColoredPartition) -> ColoredPartition:
     """Horizontal concatenation; color strings concatenate row-wise."""
+    check_type(p, ColoredPartition, "an operand", VariantMismatchError)
+    check_type(q, ColoredPartition, "an operand", VariantMismatchError)
     return ColoredPartition._from_raw(
         tensor(p.base, q.base),
         p.upper_colors + q.upper_colors,
@@ -129,6 +134,7 @@ def colored_tensor(p: ColoredPartition, q: ColoredPartition) -> ColoredPartition
 
 def colored_involution(p: ColoredPartition) -> ColoredPartition:
     """Swap rows; the color strings swap rows with them, order unchanged."""
+    check_type(p, ColoredPartition, "an operand", VariantMismatchError)
     return ColoredPartition._from_raw(involution(p.base), p.lower_colors, p.upper_colors)
 
 
@@ -138,6 +144,8 @@ def colored_compose(p: ColoredPartition, q: ColoredPartition) -> ColoredPartitio
     Requires matching interface sizes and, point for point, matching
     interface colors; the two failure modes raise distinct errors.
     """
+    check_type(p, ColoredPartition, "an operand", VariantMismatchError)
+    check_type(q, ColoredPartition, "an operand", VariantMismatchError)
     if q.base.lower_count != p.base.upper_count:
         raise SizeMismatchError(
             f"cannot compose: q has {q.base.lower_count} lower points "
@@ -153,6 +161,7 @@ def colored_compose(p: ColoredPartition, q: ColoredPartition) -> ColoredPartitio
 
 def colored_rotate(p: ColoredPartition, corner: str) -> ColoredPartition:
     """Rotate one end point to the other row, inverting the moved point's color."""
+    check_type(p, ColoredPartition, "an operand", VariantMismatchError)
     colors, k, at = corner_move(
         p.upper_colors + p.lower_colors, len(p.upper_colors), corner, 1
     )
@@ -162,6 +171,7 @@ def colored_rotate(p: ColoredPartition, corner: str) -> ColoredPartition:
 
 def colored_reflect(p: ColoredPartition) -> ColoredPartition:
     """Reverse both rows; every point keeps its color."""
+    check_type(p, ColoredPartition, "an operand", VariantMismatchError)
     return ColoredPartition._from_raw(
         reflect_vertical(p.base), p.upper_colors[::-1], p.lower_colors[::-1]
     )
@@ -193,9 +203,8 @@ class SpatialPartition:
     __slots__ = ("levels", "flattened", "_hash")
 
     def __init__(self, levels: int, flattened: Partition):
-        if isinstance(levels, bool) or not isinstance(levels, int) or levels < 1:
-            raise ValueError(f"levels must be a positive integer, got {levels!r}")
-        _check_partition(flattened, "the flattened value")
+        check_count(levels, 1, "levels")
+        check_type(flattened, Partition, "the flattened value", VariantMismatchError)
         if flattened.upper_count % levels or flattened.lower_count % levels:
             raise LevelStructureError(
                 f"flattened rows of lengths {flattened.upper_count}/"
@@ -260,11 +269,20 @@ def flatten(k: int, l: int, m: int, blocks) -> Partition:
     pairs; together they must cover the product set exactly once. The pair
     (i, j) lands at flat position m*(i-1)+j, preserving block membership.
     """
+    check_count(k, 0, "upper point count")
+    check_count(l, 0, "lower point count")
+    check_count(m, 1, "levels")
     n = k + l
     labels = [0] * (n * m)
     seen = 0
     for index, block in enumerate(blocks, start=1):
-        for i, j in block:
+        for entry in block:
+            try:
+                i, j = entry
+            except (TypeError, ValueError):
+                raise LevelStructureError(
+                    f"a block entry must be a (point, level) pair, got {entry!r}"
+                ) from None
             if not (type(i) is type(j) is int and 1 <= i <= n and 1 <= j <= m):
                 raise LevelStructureError(
                     f"point ({i!r}, {j!r}) is not in {{1..{n}}} x {{1..{m}}}"
@@ -287,6 +305,7 @@ def unflatten(sp: SpatialPartition) -> tuple[tuple[tuple[int, int], ...], ...]:
     Returns blocks as tuples of (point, level) pairs, each block sorted and
     the blocks ordered by their smallest pair, so the output is canonical.
     """
+    check_type(sp, SpatialPartition, "an operand", VariantMismatchError)
     m = sp.levels
     by_label: dict[int, list[tuple[int, int]]] = {}
     for pos, label in enumerate(sp.flattened.blocks):
@@ -299,9 +318,8 @@ def unflatten(sp: SpatialPartition) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def lift_to_levels(p: Partition, m: int) -> SpatialPartition:
     """Place an independent copy of `p` on each of `m` levels."""
-    _check_partition(p, "the lifted value")
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"levels must be a positive integer, got {m!r}")
+    check_type(p, Partition, "the lifted value", VariantMismatchError)
+    check_count(m, 1, "levels")
     labels = []
     for b in p.blocks:
         labels.extend(b * m + j for j in range(1, m + 1))
@@ -316,7 +334,9 @@ def spatial_base_partitions(m: int) -> list[SpatialPartition]:
     return [lift_to_levels(IDENTITY, m), lift_to_levels(PAIR, m)]
 
 
-def _check_levels(p: SpatialPartition, q: SpatialPartition):
+def _check_operands(p: SpatialPartition, q: SpatialPartition):
+    check_type(p, SpatialPartition, "an operand", VariantMismatchError)
+    check_type(q, SpatialPartition, "an operand", VariantMismatchError)
     if p.levels != q.levels:
         raise LevelMismatchError(
             f"level counts differ: {p.levels} versus {q.levels}"
@@ -325,18 +345,19 @@ def _check_levels(p: SpatialPartition, q: SpatialPartition):
 
 def spatial_tensor(p: SpatialPartition, q: SpatialPartition) -> SpatialPartition:
     """Horizontal concatenation of same-level spatial partitions."""
-    _check_levels(p, q)
+    _check_operands(p, q)
     return SpatialPartition._from_raw(p.levels, tensor(p.flattened, q.flattened))
 
 
 def spatial_involution(p: SpatialPartition) -> SpatialPartition:
     """Swap the upper and lower rows of every level."""
+    check_type(p, SpatialPartition, "an operand", VariantMismatchError)
     return SpatialPartition._from_raw(p.levels, involution(p.flattened))
 
 
 def spatial_compose(p: SpatialPartition, q: SpatialPartition) -> SpatialPartition:
     """Stack `q` on top of `p`, level by level."""
-    _check_levels(p, q)
+    _check_operands(p, q)
     if q.lower_points != p.upper_points:
         raise SizeMismatchError(
             f"cannot compose: q has {q.lower_points} lower points "
@@ -347,6 +368,7 @@ def spatial_compose(p: SpatialPartition, q: SpatialPartition) -> SpatialPartitio
 
 def spatial_rotate(p: SpatialPartition, corner: str) -> SpatialPartition:
     """Rotate a whole point column (all m levels of one end point) at once."""
+    check_type(p, SpatialPartition, "an operand", VariantMismatchError)
     m = p.levels
     moved, k, _ = corner_move(p.flattened.blocks, p.flattened.upper_count, corner, m)
     return SpatialPartition._from_raw(
@@ -356,6 +378,7 @@ def spatial_rotate(p: SpatialPartition, corner: str) -> SpatialPartition:
 
 def spatial_reflect(p: SpatialPartition) -> SpatialPartition:
     """Reverse the column order of both rows, keeping level order in each column."""
+    check_type(p, SpatialPartition, "an operand", VariantMismatchError)
     m = p.levels
     flat = p.flattened
     ku = flat.upper_count

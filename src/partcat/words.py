@@ -12,14 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, check_type
 from .partition import Partition, canonical_labels
 from .textio import _read_int
-
-
-def _check_tuple(letters):
-    if not isinstance(letters, tuple):
-        raise ValueError(f"letters must be a tuple, got {type(letters).__name__}")
 
 
 @dataclass(frozen=True)
@@ -29,7 +24,7 @@ class FreeWord:
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        _check_tuple(self.letters)
+        check_type(self.letters, tuple, "letters", ValueError)
         for letter in self.letters:
             try:
                 gen, exp = letter
@@ -51,7 +46,7 @@ class InvolutiveWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        _check_tuple(self.letters)
+        check_type(self.letters, tuple, "letters", ValueError)
         for i in self.letters:
             if type(i) is not int and not isinstance(i, int) or i < 1:
                 raise ValueError(f"letter index must be an integer >= 1, got {i!r}")
@@ -126,6 +121,7 @@ def to_involutive(w: FreeWord) -> InvolutiveWord:
     Each xn becomes (1, n+1) and each xn^-1 becomes (n+1, 1), so the result
     always has even length, twice the length of the word.
     """
+    check_type(w, FreeWord, "the word", ValueError)
     return InvolutiveWord(tuple(_expansion(w)))
 
 
@@ -135,6 +131,7 @@ def reduce_involutive(a: InvolutiveWord) -> InvolutiveWord:
     Cancellation is confluent, so the reduced word does not depend on the
     deletion order; a single stack pass finds it.
     """
+    check_type(a, InvolutiveWord, "the word", ValueError)
     stack: list[int] = []
     for x in a.letters:
         if stack and stack[-1] == x:
@@ -150,6 +147,7 @@ def partition_of_word(w: FreeWord) -> Partition:
     The expansion is used exactly as written (adjacent equal letters are
     kept), with no upper points and one lower point per letter.
     """
+    check_type(w, FreeWord, "the word", ValueError)
     # FreeWord has checked every index to be an int >= 1, so the expansion
     # holds positive ints only.
     labels = _expansion(w)

@@ -247,21 +247,20 @@ def test_wrong_generator_type_raises_variant_mismatch():
 
 
 def _differential_corpus(rng):
-    """Yield (ops, seed, bound) runs for the reference comparison.
+    """Yield (ops, bases, generators, bound) runs for the reference comparison.
 
     Random spatial generators at m = 2 and bound 4, or m = 3 and bound 3,
     can generate tens of thousands of members, which the reference cannot
     saturate in test time; there the generators are lifted plain ones.
     """
-    plain_bases = [IDENTITY, PAIR]
     for bound, runs in ((3, 6), (4, 6), (5, 6), (6, 3)):
         for _ in range(runs):
             gens = [random_partition(rng, bound, 1) for _ in range(rng.randint(1, 2))]
-            yield _PLAIN, plain_bases + gens, bound
+            yield _PLAIN, [IDENTITY, PAIR], gens, bound
     for bound, runs in ((3, 5), (4, 5), (5, 5)):
         for _ in range(runs):
             gens = [random_colored(rng, bound) for _ in range(rng.randint(1, 2))]
-            yield _COLORED, colored_base_partitions() + gens, bound
+            yield _COLORED, colored_base_partitions(), gens, bound
     for m, bound, lifted in (
         (1, 3, False), (1, 4, False), (2, 2, False), (2, 3, False),
         (2, 4, True), (3, 2, False), (3, 3, True), (3, 4, True),
@@ -271,32 +270,23 @@ def _differential_corpus(rng):
                 gens = [lift_to_levels(random_partition(rng, bound, 1), m)]
             else:
                 gens = [random_spatial(rng, levels=m, max_points=bound)]
-            yield _SPATIAL, spatial_base_partitions(m) + gens, bound
-
-
-def test_engine_matches_reference_saturation():
-    rng = random.Random(20250207)
-    kinds = set()
-    for ops, seed, bound in _differential_corpus(rng):
-        assert set(_saturate(seed, bound, ops)) == saturate_reference(seed, bound, ops), (
-            ops.kind, seed, bound,
-        )
-        kinds.add(ops.kind)
-    assert kinds == {"plain", "colored", "spatial"}
+            yield _SPATIAL, spatial_base_partitions(m), gens, bound
 
 
 def test_constructors_match_reference_saturation():
-    # The same corpus through the constructors, which also hand the engine
-    # the identity bases its column rule needs.
     rng = random.Random(20250207)
-    for ops, seed, bound in _differential_corpus(rng):
+    kinds = set()
+    for ops, bases, gens, bound in _differential_corpus(rng):
         if ops is _PLAIN:
-            closure = construct_closure(seed[2:], bound)
+            closure = construct_closure(gens, bound)
         elif ops is _COLORED:
-            closure = construct_colored_closure(seed[4:], bound)
+            closure = construct_colored_closure(gens, bound)
         else:
-            closure = construct_spatial_closure(seed[2:], bound, seed[0].levels)
-        assert closure.members == saturate_reference(seed, bound, ops), (ops.kind, seed, bound)
+            closure = construct_spatial_closure(gens, bound, bases[0].levels)
+        expected = saturate_reference(bases + gens, bound, ops)
+        assert closure.members == expected, (ops.kind, gens, bound)
+        kinds.add(ops.kind)
+    assert kinds == {"plain", "colored", "spatial"}
 
 
 class _CountingOps:
@@ -347,13 +337,15 @@ class _Orbits:
         return frozenset({(p, q), (r[p], r[q]), (i[q], i[p]), (r[i[q]], r[i[p]])})
 
 
-def _compose_cover(members, bound, variant, identities):
+def _compose_cover(members, bound, variant, bases):
     """A test for compose pairs (p bottom, q top) whose result follows from
     smaller pairs, built from tensor over all member pairs: an empty
-    interface, an identity base beside a member on either side, or an
-    interface that both sides split at the same position into members."""
+    interface, an identity base (a base of shape (1, 1)) beside a member on
+    either side, or an interface that both sides split at the same position
+    into members."""
     upper_splits, lower_splits = defaultdict(set), defaultdict(set)
-    beside_identity = set(identities) & members
+    identities = {e for e in bases if e.upper_points == e.lower_points == 1}
+    beside_identity = identities & members
     for p in members:
         for q in members:
             if p.size + q.size <= bound:
@@ -381,7 +373,7 @@ def test_engine_work_on_the_924_run():
     # less the compose pairs the tensor and identity laws give. The bucketed
     # partner lists may skip only over-bound pairs, never an evaluated one.
     counting = _CountingOps(_PLAIN)
-    members = _saturate([IDENTITY, PAIR, FORK, IDENTITY, PAIR], 6, counting, [IDENTITY])
+    members = _saturate([IDENTITY, PAIR], [FORK, IDENTITY, PAIR], 6, counting)
     assert len(members) == 1275
     assert counting.calls == Counter(compose=16_138, tensor=1_401)
 
@@ -390,21 +382,15 @@ def test_one_evaluation_per_orbit():
     # Every tensor orbit is evaluated exactly once and no compose orbit
     # twice. A compose orbit left out must have a pair whose result the laws
     # give from smaller pairs, by a check built from the final members alone.
-    colored_identities = colored_base_partitions()[:2]
-    for ops, seed, identities, bound in (
-        (_PLAIN, [IDENTITY, PAIR, FORK], [IDENTITY], 5),
-        (_PLAIN, [IDENTITY, PAIR, CROSSING, Partition([1], [1, 2])], [IDENTITY], 4),
-        (_PLAIN, [IDENTITY, PAIR, FORK, Partition([1], [2])], [IDENTITY], 5),
-        (_COLORED, colored_base_partitions(), colored_identities, 5),
-        (
-            _SPATIAL,
-            spatial_base_partitions(2) + [lift_to_levels(FORK, 2)],
-            [lift_to_levels(IDENTITY, 2)],
-            4,
-        ),
+    for ops, bases, gens, bound in (
+        (_PLAIN, [IDENTITY, PAIR], [FORK], 5),
+        (_PLAIN, [IDENTITY, PAIR], [CROSSING, Partition([1], [1, 2])], 4),
+        (_PLAIN, [IDENTITY, PAIR], [FORK, Partition([1], [2])], 5),
+        (_COLORED, colored_base_partitions(), [], 5),
+        (_SPATIAL, spatial_base_partitions(2), [lift_to_levels(FORK, 2)], 4),
     ):
         counting = _CountingOps(ops)
-        members = set(_saturate(seed, bound, counting, identities))
+        members = set(_saturate(bases, gens, bound, counting))
         orbits = _Orbits(members, bound, ops)
         tensors = Counter(orbits.of_tensor(p, q) for p, q in counting.pairs["tensor"])
         composes = Counter(orbits.of_compose(p, q) for p, q in counting.pairs["compose"])
@@ -412,7 +398,7 @@ def test_one_evaluation_per_orbit():
         assert set(tensors.values()) == {1}, ops.kind
         assert set(composes) <= orbits.composes, ops.kind
         assert set(composes.values()) == {1}, ops.kind
-        covered = _compose_cover(members, bound, ops, identities)
+        covered = _compose_cover(members, bound, ops, bases)
         for orbit in orbits.composes - set(composes):
             assert any(covered(p, q) for p, q in orbit), (ops.kind, orbit)
 

@@ -61,6 +61,15 @@ def test_enumeration_guard():
         reference_counts(-1)
     with pytest.raises(ValueError):
         bell_number(-1)
+    for count in (1.5, "2", None):
+        for call in (
+            lambda: enumerate_all(count, 1),
+            lambda: enumerate_all(1, count),
+            lambda: bell_number(count),
+            lambda: reference_counts(count),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_pair_predicate():

@@ -38,6 +38,15 @@ def test_rejects_bad_labels():
         Partition(["a"], [])
     with pytest.raises(ValueError):
         Partition([True], [False])
+    # Rows that are not iterable at all.
+    for make in (
+        lambda: Partition(5),
+        lambda: Partition([1], None),
+        lambda: Partition(None, [1]),
+        lambda: kernel_partition(5),
+    ):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_normalize_worked_example():

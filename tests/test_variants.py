@@ -58,6 +58,10 @@ def test_color_validation():
     for upper, lower in (("w", "w"), ("ww", "ww"), ("", "ww"), ("x", "ww"), ("w", ("b", 1))):
         with pytest.raises(ValueError):
             ColoredPartition(fork, upper, lower)
+    # Color rows that are not iterable at all.
+    for upper, lower in ((5, "w"), ("w", 5), (None, "w"), ("w", None)):
+        with pytest.raises(ValueError):
+            ColoredPartition(IDENTITY, upper, lower)
 
 
 def test_colored_base_partitions():
@@ -238,6 +242,15 @@ def test_flatten_rejects_malformed_blocks():
     for point in ((1.0, 1), (1, 1.0), (True, 1), (1, True), ("1", 1)):
         with pytest.raises(LevelStructureError):
             flatten(1, 1, 1, [[point, (2, 1)]])
+    # Block entries that are not (point, level) pairs.
+    for entry in (1, None, (1,), (1, 1, 1)):
+        with pytest.raises(LevelStructureError):
+            flatten(1, 1, 1, [[entry, (2, 1)]])
+    # Point and level counts that are not counts.
+    for k, l, m in ((1.5, 1, 1), (1, 1.5, 1), (1, 1, 1.5), (-1, 1, 1), (1, -1, 1), (1, 1, -1),
+                    (1, 1, 0), (True, 1, 1), ("1", 1, 1)):
+        with pytest.raises(ValueError):
+            flatten(k, l, m, [])
 
 
 def test_checking_constructors_reject_non_partitions():
