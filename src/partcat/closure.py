@@ -36,8 +36,9 @@ result, which the unary step adds, and R and I preserve sizes, so every
 pair of an orbit passes or fails the bound test together. The reference
 engine without this quotient is :func:`partcat.oracles.saturate_reference`.
 
-The engine processes each member orbit {x, R x, I x, RI x} once, when its
-first member is popped, and pairs it with itself and with the orbits
+Each member orbit {x, R x, I x, RI x} enters the worklist whole, as one
+entry, when its first member is found; the engine processes it once, when
+that entry is popped, and pairs it with itself and with the orbits
 processed before it. Call C the map that keeps the order of the factors
 and S the one that swaps it: for tensor C = I and S = R, for compose
 C = R and S = I. C splits the orbit into the classes A = {x, C x} and
@@ -83,7 +84,7 @@ The same argument through I gives bl, and through RI gives br, for x with
 a lower point. Any one corner would do.
 
 Of the compose pairs left, the engine skips those whose result the tensor
-and identity laws give from smaller pairs. Members are popped smallest size
+and identity laws give from smaller pairs. Orbits are popped smallest size
 first, and every evaluated z = tensor(x, y) records in z's entry
 
 - bit x.upper_points of z's upper mask when x and y both have upper points,
@@ -144,7 +145,8 @@ from typing import NamedTuple
 
 from . import ops as _ops
 from . import variants as _v
-from .errors import BoundError, LevelMismatchError, VariantMismatchError, check_count, check_type
+from .errors import BoundError, LevelMismatchError, VariantMismatchError
+from .errors import check_count, check_iterable, check_type
 from .partition import IDENTITY, PAIR, Partition
 
 
@@ -274,10 +276,11 @@ def _saturate(bases, generators, bound, variant):
 
     The bases that fit the bound are added first, then the generators. The
     engine flags the bases of shape (1, 1), the identity bases, for the
-    identity-column law.
+    identity-column law. Each R/I orbit enters the worklist whole when its
+    first member is found, and is processed once, when it is popped.
     """
     members = {}  # member -> index into the lists below
-    stacks = [[] for _ in range(bound + 1)]  # unpopped members by size
+    stacks = [[] for _ in range(bound + 1)]  # unpopped orbits by size
     # Split records by member index: bit i of upper_mask (lower_mask) says
     # the member is a tensor of two members, the left one with i upper
     # (lower) points and each with a point in that row; column says it is
@@ -285,16 +288,20 @@ def _saturate(bases, generators, bound, variant):
     upper_mask = []
     lower_mask = []
     column = []
-    done = []  # the member's R/I orbit has been processed
+    involution = variant.involution
+    reflect = variant.reflect
 
     def add(x):
         if x not in members:
-            members[x] = len(members)
-            stacks[x.size].append(x)
-            upper_mask.append(0)
-            lower_mask.append(0)
-            column.append(False)
-            done.append(False)
+            inv = involution(x)
+            orbit = x, reflect(x), inv, reflect(inv)
+            for y in orbit:
+                if y not in members:
+                    members[y] = len(members)
+                    upper_mask.append(0)
+                    lower_mask.append(0)
+                    column.append(False)
+            stacks[x.size].append(orbit)
 
     identity = set()  # indices of the identity bases
     for b in bases:
@@ -311,33 +318,20 @@ def _saturate(bases, generators, bound, variant):
     # and upper points, so a run visits only the buckets within the bound.
     by_size = defaultdict(list)
     as_top = defaultdict(list)
-    involution = variant.involution
-    reflect = variant.reflect
     rotate = variant.rotate
     tensor = variant.tensor
     compose = variant.compose
 
     while True:
-        for stack in stacks:  # the smallest unpopped member first
+        for stack in stacks:  # the smallest unpopped orbit first
             if stack:
                 break
         else:
             return members.keys()
-        x = stack.pop()
-        a = members[x]
-        if done[a]:
-            continue
-        # The orbit of x under R, the reflection, and I, the involution.
+        x, ref, inv, ref_inv = stack.pop()
         xu, xl = x.upper_points, x.lower_points
-        inv = involution(x)
-        ref = reflect(x)
-        ref_inv = reflect(inv)
-        add(inv)
-        add(ref)
-        add(ref_inv)
-        ra, ia, ria = members[ref], members[inv], members[ref_inv]
-        for i, y in {a: x, ra: ref, ia: inv, ria: ref_inv}.items():
-            done[i] = True
+        a, ra, ia, ria = members[x], members[ref], members[inv], members[ref_inv]
+        for y in {a: x, ra: ref, ia: inv, ria: ref_inv}.values():
             if y.upper_points:
                 add(rotate(y, "top-left"))
 
@@ -408,7 +402,7 @@ def _orbit_steps(x, a, mate, b, y, c, y_mate, d):
 
 
 def _checked(generators, variant):
-    generators = list(generators)
+    generators = list(check_iterable(generators, "generators"))
     role = f"a {variant.kind} closure generator"
     for g in generators:
         check_type(g, variant.value_type, role, VariantMismatchError)

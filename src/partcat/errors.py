@@ -1,4 +1,4 @@
-"""Exception types raised by partcat, and the two argument checks shared
+"""Exception types raised by partcat, and the three argument checks shared
 by its modules.
 
 All domain errors derive from PartitionError so callers (and the CLI) can
@@ -62,6 +62,15 @@ def check_type(value, cls, role, error):
         name = cls.__name__
         article = "an" if name[0] in "AEIOU" else "a"
         raise error(f"{role} must be {article} {name}, got {type(value).__name__}")
+
+
+def check_iterable(value, what):
+    """iter(value), raising ValueError naming `what` where `value` is not
+    iterable."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValueError(f"{what} must be iterable, got {type(value).__name__}") from None
 
 
 def check_count(value, least, what):

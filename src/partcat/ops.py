@@ -11,7 +11,7 @@ from __future__ import annotations
 from array import array
 
 from .errors import EmptyRowError, SizeMismatchError, VariantMismatchError, check_type
-from .partition import Partition, canonical_labels
+from .partition import Partition
 
 #: Valid `corner` arguments for :func:`rotate`.
 CORNERS = ("top-left", "top-right", "bottom-left", "bottom-right")
@@ -25,9 +25,7 @@ def involution(p: Partition) -> Partition:
     check_type(p, Partition, "an operand", VariantMismatchError)
     k = p.upper_count
     b = p.blocks
-    return Partition._from_raw(
-        p.lower_count, k, canonical_labels(b[k:] + b[:k])
-    )
+    return Partition._relabeled(p.lower_count, b[k:] + b[:k])
 
 
 def tensor(p: Partition, q: Partition) -> Partition:
@@ -41,9 +39,7 @@ def tensor(p: Partition, q: Partition) -> Partition:
     merged += b[:k2]
     merged += [x + t for x in a[k1:]]
     merged += b[k2:]
-    return Partition._from_raw(
-        k1 + k2, p.lower_count + q.lower_count, canonical_labels(merged)
-    )
+    return Partition._relabeled(k1 + k2, merged)
 
 
 def compose(p: Partition, q: Partition) -> Partition:
@@ -155,7 +151,7 @@ def rotate(p: Partition, corner: str) -> Partition:
     """
     check_type(p, Partition, "an operand", VariantMismatchError)
     moved, k, _ = corner_move(p.blocks, p.upper_count, corner, 1)
-    return Partition._from_raw(k, len(moved) - k, canonical_labels(moved))
+    return Partition._relabeled(k, moved)
 
 
 def reflect_vertical(p: Partition) -> Partition:
@@ -163,6 +159,4 @@ def reflect_vertical(p: Partition) -> Partition:
     check_type(p, Partition, "an operand", VariantMismatchError)
     k = p.upper_count
     b = p.blocks
-    return Partition._from_raw(
-        k, p.lower_count, canonical_labels(b[:k][::-1] + b[k:][::-1])
-    )
+    return Partition._relabeled(k, b[:k][::-1] + b[k:][::-1])

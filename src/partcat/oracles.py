@@ -17,7 +17,7 @@ from math import comb
 
 from .errors import EmptyRowError, EnumerationLimitError, SizeMismatchError, check_count
 from .ops import CORNERS
-from .partition import Partition, canonical_labels
+from .partition import Partition
 from .variants import BLACK, WHITE, ColoredPartition, invert_color
 
 #: Largest point count enumerate_all / reference_counts will touch.
@@ -219,7 +219,7 @@ def compose_via_dfs(p: Partition, q: Partition) -> Partition:
     rep = components_by_dfs(vertices, edges)
     out = [rep[v] for v in b[:k]]
     out += [rep[v + t] for v in a[ell:]]
-    return Partition._from_raw(k, p.lower_count, canonical_labels(out))
+    return Partition._relabeled(k, out)
 
 
 def compose_reference(p: Partition, q: Partition) -> Partition:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+from .errors import check_iterable
+
 
 # Length above which canonical_labels relabels through a flat list indexed by
 # label when every label is an int in [0, 2 * length]; shorter inputs and
@@ -36,8 +38,8 @@ def canonical_labels(labels: Iterable[int]) -> tuple[int, ...]:
             top = max(labels)
             if top <= 2 * len(labels):
                 table = [0] * (top + 1)
-    except TypeError:  # an iterator, or labels that are not ints
-        pass
+    except TypeError:  # an iterator, labels that are not ints, or no iterable
+        labels = check_iterable(labels, "labels")
     if table is not None:
         nxt = 1
         out = []
@@ -79,14 +81,8 @@ class Partition:
     __slots__ = ("upper_count", "lower_count", "blocks", "_hash")
 
     def __init__(self, upper: Sequence[int] = (), lower: Sequence[int] = ()):
-        try:
-            rows = tuple(upper), tuple(lower)
-        except TypeError:
-            raise ValueError(
-                f"rows must be iterables of labels, got "
-                f"{type(upper).__name__} and {type(lower).__name__}"
-            ) from None
-        upper, lower = rows
+        upper = tuple(check_iterable(upper, "the upper row"))
+        lower = tuple(check_iterable(lower, "the lower row"))
         for row in (upper, lower):
             for x in row:
                 # bool is an int subclass but not a label; the exact type
@@ -109,6 +105,14 @@ class Partition:
         p.blocks = blocks
         p._hash = hash((upper_count, lower_count, blocks))
         return p
+
+    @classmethod
+    def _relabeled(cls, upper_count: int, labels: Sequence) -> "Partition":
+        # Internal: the partition whose upper row holds the first
+        # `upper_count` of `labels` and whose lower row the rest. Labels may
+        # be any hashable values, since the relabel makes them canonical;
+        # only the constructor's check for non-negative ints is skipped.
+        return cls._from_raw(upper_count, len(labels) - upper_count, canonical_labels(labels))
 
     @property
     def upper(self) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ import json
 import re
 
 from .errors import ParseError, VariantMismatchError, check_type
-from .partition import Partition, canonical_labels
+from .partition import Partition
 from .variants import ColoredPartition, SpatialPartition
 
 
@@ -74,6 +74,7 @@ def _parse_labels(text: str, start: int, end: int) -> list[int]:
 
 def parse_partition(text: str) -> Partition:
     """Parse the `<upper>|<lower>` format; the result is canonical."""
+    check_type(text, str, "the parsed text", ParseError)
     return _parse_rows(text, 0)
 
 
@@ -95,7 +96,7 @@ def _parse_rows(text: str, start: int) -> Partition:
     lower = _parse_labels(text, bar + 1, len(text))
     # The labels are ints read from ASCII digits, so none is negative and
     # the constructor's check would pass.
-    return Partition._from_raw(len(upper), len(lower), canonical_labels(upper + lower))
+    return Partition._relabeled(len(upper), upper + lower)
 
 
 def render_partition(p: Partition, fmt: str = "text") -> str:
@@ -165,6 +166,7 @@ def _parse_colored_side(text: str, start: int, end: int):
 
 def parse_colored(text: str) -> ColoredPartition:
     """Parse the `<colors>:<upper>|<colors>:<lower>` format."""
+    check_type(text, str, "the parsed text", ParseError)
     bar = _row_bar(text, 0)
     ucolors, ulabels = _parse_colored_side(text, 0, bar)
     lcolors, llabels = _parse_colored_side(text, bar + 1, len(text))
@@ -199,6 +201,7 @@ def colored_from_json(obj) -> ColoredPartition:
 
 def parse_spatial(text: str) -> SpatialPartition:
     """Parse the `m=<levels>;<flattened partition>` format."""
+    check_type(text, str, "the parsed text", ParseError)
     if not text.startswith("m="):
         raise ParseError("expected 'm=<levels>;' prefix", offset=0)
     semi = text.find(";")

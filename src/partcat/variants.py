@@ -19,17 +19,24 @@ from .errors import (
     SizeMismatchError,
     VariantMismatchError,
     check_count,
+    check_iterable,
     check_type,
 )
 from .ops import compose, corner_move, involution, reflect_vertical, rotate, tensor
-from .partition import IDENTITY, PAIR, Partition, canonical_labels
+from .partition import IDENTITY, PAIR, Partition
 
 WHITE = "w"
 BLACK = "b"
 _COLORS = (WHITE, BLACK)
 
 
+def _check_color(c):
+    if c not in _COLORS:
+        raise ValueError(f"colors must be {WHITE!r} or {BLACK!r}, got {c!r}")
+
+
 def invert_color(c: str) -> str:
+    _check_color(c)
     return BLACK if c == WHITE else WHITE
 
 
@@ -44,22 +51,15 @@ class ColoredPartition:
 
     def __init__(self, base: Partition, upper_colors: Iterable[str], lower_colors: Iterable[str]):
         check_type(base, Partition, "the base", VariantMismatchError)
-        try:
-            uc = tuple(upper_colors)
-            lc = tuple(lower_colors)
-        except TypeError:
-            raise ValueError(
-                f"color rows must be iterables of colors, got "
-                f"{type(upper_colors).__name__} and {type(lower_colors).__name__}"
-            ) from None
+        uc = tuple(check_iterable(upper_colors, "the upper colors"))
+        lc = tuple(check_iterable(lower_colors, "the lower colors"))
         if len(uc) != base.upper_count or len(lc) != base.lower_count:
             raise ValueError(
                 f"color strings of lengths {len(uc)}/{len(lc)} do not match "
                 f"rows of lengths {base.upper_count}/{base.lower_count}"
             )
         for c in uc + lc:
-            if c not in _COLORS:
-                raise ValueError(f"colors must be {WHITE!r} or {BLACK!r}, got {c!r}")
+            _check_color(c)
         self.base = base
         self.upper_colors = uc
         self.lower_colors = lc
@@ -323,10 +323,7 @@ def lift_to_levels(p: Partition, m: int) -> SpatialPartition:
     labels = []
     for b in p.blocks:
         labels.extend(b * m + j for j in range(1, m + 1))
-    k = p.upper_count * m
-    return SpatialPartition(
-        m, Partition._from_raw(k, p.lower_count * m, canonical_labels(labels))
-    )
+    return SpatialPartition(m, Partition._relabeled(p.upper_count * m, labels))
 
 
 def spatial_base_partitions(m: int) -> list[SpatialPartition]:
@@ -371,9 +368,7 @@ def spatial_rotate(p: SpatialPartition, corner: str) -> SpatialPartition:
     check_type(p, SpatialPartition, "an operand", VariantMismatchError)
     m = p.levels
     moved, k, _ = corner_move(p.flattened.blocks, p.flattened.upper_count, corner, m)
-    return SpatialPartition._from_raw(
-        m, Partition._from_raw(k, len(moved) - k, canonical_labels(moved))
-    )
+    return SpatialPartition._from_raw(m, Partition._relabeled(k, moved))
 
 
 def spatial_reflect(p: SpatialPartition) -> SpatialPartition:
@@ -388,6 +383,4 @@ def spatial_reflect(p: SpatialPartition) -> SpatialPartition:
     for j in range(m):
         labels[j:ku:m] = b[j:ku:m][::-1]
         labels[ku + j :: m] = b[ku + j :: m][::-1]
-    return SpatialPartition._from_raw(
-        m, Partition._from_raw(ku, flat.lower_count, canonical_labels(labels))
-    )
+    return SpatialPartition._from_raw(m, Partition._relabeled(ku, labels))

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, check_type
-from .partition import Partition, canonical_labels
+from .partition import Partition
 from .textio import _read_int
 
 
@@ -101,6 +101,7 @@ def parse_word(text: str) -> FreeWord:
     their letters in bulk; equal letters are one shared tuple. A text with a
     bad token is read again by `_scan_word`, which reports it.
     """
+    check_type(text, str, "the parsed text", ParseError)
     try:
         letters = tuple(map(_LetterOfToken().__getitem__, text.split()))
     except ValueError:
@@ -150,5 +151,4 @@ def partition_of_word(w: FreeWord) -> Partition:
     check_type(w, FreeWord, "the word", ValueError)
     # FreeWord has checked every index to be an int >= 1, so the expansion
     # holds positive ints only.
-    labels = _expansion(w)
-    return Partition._from_raw(0, len(labels), canonical_labels(labels))
+    return Partition._relabeled(0, _expansion(w))

@@ -246,6 +246,16 @@ def test_wrong_generator_type_raises_variant_mismatch():
         construct_closure([FORK, colored], 4)
 
 
+def test_generators_must_be_iterable():
+    for construct, args in (
+        (construct_closure, (4,)),
+        (construct_colored_closure, (4,)),
+        (construct_spatial_closure, (4, 2)),
+    ):
+        with pytest.raises(ValueError, match="generators must be iterable"):
+            construct(5, *args)
+
+
 def _differential_corpus(rng):
     """Yield (ops, bases, generators, bound) runs for the reference comparison.
 
@@ -290,7 +300,8 @@ def test_constructors_match_reference_saturation():
 
 
 class _CountingOps:
-    """An operation table that records its compose and tensor pairs."""
+    """An operation table that counts its calls and records its compose and
+    tensor pairs."""
 
     def __init__(self, ops):
         self._ops = ops
@@ -299,6 +310,18 @@ class _CountingOps:
 
     def __getattr__(self, name):
         return getattr(self._ops, name)
+
+    def involution(self, p):
+        self.calls["involution"] += 1
+        return self._ops.involution(p)
+
+    def reflect(self, p):
+        self.calls["reflect"] += 1
+        return self._ops.reflect(p)
+
+    def rotate(self, p, corner):
+        self.calls["rotate"] += 1
+        return self._ops.rotate(p, corner)
 
     def compose(self, p, q):
         self.calls["compose"] += 1
@@ -372,10 +395,14 @@ def test_engine_work_on_the_924_run():
     # {fork, identity, pair} @6 as `generate` runs it: one pair per orbit,
     # less the compose pairs the tensor and identity laws give. The bucketed
     # partner lists may skip only over-bound pairs, never an evaluated one.
+    # One involution and two reflections per orbit visit each of the 396
+    # orbits once.
     counting = _CountingOps(_PLAIN)
     members = _saturate([IDENTITY, PAIR], [FORK, IDENTITY, PAIR], 6, counting)
     assert len(members) == 1275
-    assert counting.calls == Counter(compose=16_138, tensor=1_401)
+    assert counting.calls == Counter(
+        compose=16_138, tensor=1_401, involution=396, reflect=792, rotate=1_078
+    )
 
 
 def test_one_evaluation_per_orbit():

@@ -44,6 +44,7 @@ def test_rejects_bad_labels():
         lambda: Partition([1], None),
         lambda: Partition(None, [1]),
         lambda: kernel_partition(5),
+        lambda: canonical_labels(5),
     ):
         with pytest.raises(ValueError):
             make()

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from partcat import ParseError, Partition
+from partcat import ParseError, Partition, parse_word
 from partcat.textio import (
     colored_from_json,
     colored_to_json,
@@ -59,6 +59,13 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as e:
         parse_colored("w:1|w:1|w:1")
     assert e.value.offset == 7 and "second '|'" in str(e.value)
+
+
+@pytest.mark.parametrize("parse", [parse_partition, parse_colored, parse_spatial, parse_word])
+@pytest.mark.parametrize("text", [5, None, b"1|1"])
+def test_parsers_reject_values_that_are_not_text(parse, text):
+    with pytest.raises(ParseError, match="must be a str"):
+        parse(text)
 
 
 def test_labels_are_ascii_digits_only():

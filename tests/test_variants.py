@@ -214,6 +214,9 @@ def test_op_results_equal_validated_construction():
 
 def test_invert_color():
     assert invert_color(WHITE) == BLACK and invert_color(BLACK) == WHITE
+    for bad in ("x", 5, None, "wb", ""):
+        with pytest.raises(ValueError, match="colors must be 'w' or 'b'"):
+            invert_color(bad)
 
 
 # ---------------------------------------------------------------- spatial
