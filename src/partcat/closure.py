@@ -85,35 +85,38 @@ a lower point. Any one corner would do.
 
 Of the compose pairs left, the engine skips those whose result the tensor
 and identity laws give from smaller pairs. Orbits are popped smallest size
-first, and every evaluated z = tensor(x, y) records in z's entry
+first. Each member has a split record, the set splits[z] of the upper
+point counts i at which z splits into a tensor of two members, each with
+an upper point; z's lower row splits as its I-image's upper row does. The
+engine also flags the bases of shape (1, 1), the identity bases, with a
+column flag. Every evaluated z = tensor(y, q) writes its record to the
+whole orbit of z at once, following R z == tensor(R q, R y) and
+I z == tensor(I y, I q):
 
-- bit x.upper_points of z's upper mask when x and y both have upper points,
-  and bit x.lower_points of its lower mask when both have lower points;
-- a column flag when x or y is an identity base; the engine flags the
-  bases of shape (1, 1), the identity bases, from the start.
+- when y and q both have upper points, bit y.upper_points to z and bit
+  q.upper_points to R z;
+- when both have lower points, bit y.lower_points to I z and bit
+  q.lower_points to RI z;
+- when y or q is an identity base, the column flag to all four.
 
-When the orbit of x is processed, the records of x, R x, I x and RI x are
-merged and written back to all four: R moves bit i of a row of n points to
-bit n - i, and I swaps the two masks. A compose pair (p bottom, q top) is
-then skipped when
+A compose pair (p bottom, q top) is skipped when
 
 1. the interface is empty, so a member with no upper points is never a
    bottom and one with no lower points never a top;
 2. p or q has the column flag: flagged members are never partners;
-3. upper_mask[p] & lower_mask[q] != 0.
+3. splits[p] & splits[I q] != 0.
 
 This is exact too. Every record holds in the final member set M: bit i of
-z's upper mask means z == tensor(z1, z2) with z1, z2 in M, z1 with i upper
-points and z2 with at least one, and likewise for the lower mask; the flag
-means z is an identity base e, or tensor(e, w) or tensor(w, e) with w in M.
-Records come from evaluated tensors of members, and the merge moves them
-along R(tensor(a, b)) == tensor(R b, R a) and I(tensor(a, b)) ==
-tensor(I a, I b), with R e == I e == e, inside M, which is closed under R
-and I. Now show, by induction on p.size + q.size, that compose(p, q) is in
-M for every composable pair of members whose result fits the bound. If the
-pair the engine ran in its orbit was composed, the orbit argument above
-applies. Otherwise a rule held for the pair the engine ran, when the later
-of its two orbits was processed, and records only grow:
+splits[z] means z == tensor(z1, z2) with z1, z2 in M, z1 with i upper
+points and z2 with at least one; the flag means z is an identity base e,
+or tensor(e, w) or tensor(w, e) with w in M. Records come from evaluated
+tensors of members, and each write follows the two laws above, with
+R e == I e == e, inside M, which is closed under R and I. Now show, by
+induction on p.size + q.size, that compose(p, q) is in M for every
+composable pair of members whose result fits the bound. If the pair the
+engine ran in its orbit was composed, the orbit argument above applies.
+Otherwise a rule held for the pair the engine ran, when the later of its
+two orbits was processed, and records only grow:
 
 1. compose(p, q) == tensor(q, p), a tensor within the bound, and tensor
    pairs are never skipped.
@@ -260,16 +263,6 @@ class ClosureSet:
         return sorted(self.members, key=_sort_key)
 
 
-def _mirror(mask, n):
-    """Move bit i of a split mask to bit n - i: the splits of R x's row of n points."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << (n + 1 - low.bit_length())
-        mask ^= low
-    return out
-
-
 def _saturate(bases, generators, bound, variant):
     """The members of the closure of `bases` and `generators` within `bound`,
     in insertion order.
@@ -277,16 +270,18 @@ def _saturate(bases, generators, bound, variant):
     The bases that fit the bound are added first, then the generators. The
     engine flags the bases of shape (1, 1), the identity bases, for the
     identity-column law. Each R/I orbit enters the worklist whole when its
-    first member is found, and is processed once, when it is popped.
+    first member is found, and is processed once, when it is popped. Each
+    evaluated tensor writes its split record to its result's whole orbit.
     """
     members = {}  # member -> index into the lists below
     stacks = [[] for _ in range(bound + 1)]  # unpopped orbits by size
-    # Split records by member index: bit i of upper_mask (lower_mask) says
-    # the member is a tensor of two members, the left one with i upper
-    # (lower) points and each with a point in that row; column says it is
-    # an identity base, or a tensor of one and a member.
-    upper_mask = []
-    lower_mask = []
+    # By member index: mates holds the indices of the member and of its R, I
+    # and RI images; bit i of splits says the member is a tensor of two
+    # members, the left one with i upper points and each with one at least
+    # (the lower-row splits are those of the I-image); column says it is an
+    # identity base, or a tensor of one and a member.
+    mates = []
+    splits = []
     column = []
     involution = variant.involution
     reflect = variant.reflect
@@ -295,11 +290,13 @@ def _saturate(bases, generators, bound, variant):
         if x not in members:
             inv = involution(x)
             orbit = x, reflect(x), inv, reflect(inv)
-            for y in orbit:
-                if y not in members:
-                    members[y] = len(members)
-                    upper_mask.append(0)
-                    lower_mask.append(0)
+            frame = [members.setdefault(y, len(members)) for y in orbit]
+            # New members come in index order; R, I and RI move orbit
+            # position pos to pos ^ 1, pos ^ 2 and pos ^ 3.
+            for pos, i in enumerate(frame):
+                if i == len(mates):
+                    mates.append((i, frame[pos ^ 1], frame[pos ^ 2], frame[pos ^ 3]))
+                    splits.append(0)
                     column.append(False)
             stacks[x.size].append(orbit)
 
@@ -309,13 +306,14 @@ def _saturate(bases, generators, bound, variant):
             add(b)
             if b.upper_points == b.lower_points == 1:
                 identity.add(members[b])
-                column[members[b]] = True
+                column[members[b]] = True  # R and I fix it
     for g in generators:
         add(g)
 
-    # Processed members as (y, index of y, first filed of its class): tensor
-    # right factors by size, compose tops by their own lower-row interface
-    # and upper points, so a run visits only the buckets within the bound.
+    # Processed members as (y, index, first filed of its class): tensor right
+    # factors by size with their own index, compose tops by their lower-row
+    # interface and upper points with the index of their I-image, so a run
+    # visits only the buckets within the bound.
     by_size = defaultdict(list)
     as_top = defaultdict(list)
     rotate = variant.rotate
@@ -329,24 +327,14 @@ def _saturate(bases, generators, bound, variant):
         else:
             return members.keys()
         x, ref, inv, ref_inv = stack.pop()
-        xu, xl = x.upper_points, x.lower_points
-        a, ra, ia, ria = members[x], members[ref], members[inv], members[ref_inv]
+        a, ra, ia, ria = mates[members[x]]
         for y in {a: x, ra: ref, ia: inv, ria: ref_inv}.values():
             if y.upper_points:
                 add(rotate(y, "top-left"))
 
-        # One record for the whole orbit: R mirrors a row's splits, I swaps
-        # the rows.
-        up = upper_mask[a] | lower_mask[ia] | _mirror(upper_mask[ra] | lower_mask[ria], xu)
-        lo = lower_mask[a] | upper_mask[ia] | _mirror(lower_mask[ra] | upper_mask[ria], xl)
-        rup, rlo = _mirror(up, xu), _mirror(lo, xl)
-        upper_mask[a], upper_mask[ra], upper_mask[ia], upper_mask[ria] = up, rup, lo, rlo
-        lower_mask[a], lower_mask[ra], lower_mask[ia], lower_mask[ria] = lo, rlo, up, rup
-        col = column[a] or column[ra] or column[ia] or column[ria]
-        column[a] = column[ra] = column[ia] = column[ria] = col
-
-        # Tensor: I-classes; y is the left factor.
-        sx = xu + xl
+        # Tensor: I-classes; y is the left factor. Each split is written to
+        # the whole orbit of z: R z == tensor(R q, R y), I z == tensor(I y, I q).
+        sx = x.size
         fixed = ia == a  # I fixes x, and so R x
         for y, i, first in _orbit_steps(x, a, inv, ia, ref, ra, ref_inv, ria):
             if first is not None:
@@ -358,29 +346,31 @@ def _saturate(bases, generators, bound, variant):
                     if q_first or not fixed:
                         z = tensor(y, q)
                         add(z)
-                        k = members[z]
+                        k, rk, ik, rik = mates[members[z]]
                         if yu and q.upper_points:
-                            upper_mask[k] |= 1 << yu
+                            splits[k] |= 1 << yu
+                            splits[rk] |= 1 << q.upper_points
                         if yl and q.lower_points:
-                            lower_mask[k] |= 1 << yl
+                            splits[ik] |= 1 << yl
+                            splits[rik] |= 1 << q.lower_points
                         if beside or j in identity:
-                            column[k] = True
+                            column[k] = column[rk] = column[ik] = column[rik] = True
 
         # Compose: R-classes; y is the bottom. A member beside an identity
         # column is never a partner, nor one whose interface is empty, and a
         # pair whose interface splits alike on both sides is not composed.
-        if col:
+        if column[a]:
             continue
         fixed = ra == a  # R fixes x, and so I x
         for y, i, first in _orbit_steps(x, a, ref, ra, inv, ia, ref_inv, ria):
             if first is not None:
                 if y.lower_points:
-                    as_top[y.lower_key, y.upper_points].append((y, i, first))
+                    as_top[y.lower_key, y.upper_points].append((y, mates[i][2], first))
             elif y.upper_points:
-                key, mask = y.upper_key, upper_mask[i]
+                key, mask = y.upper_key, splits[i]
                 for tu in range(bound - y.lower_points + 1):
                     for q, j, q_first in as_top.get((key, tu), ()):
-                        if (q_first or not fixed) and not mask & lower_mask[j]:
+                        if (q_first or not fixed) and not mask & splits[j]:
                             add(compose(y, q))
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from math import comb
 
-from .errors import EmptyRowError, EnumerationLimitError, SizeMismatchError, check_count
+from .errors import EmptyRowError, EnumerationLimitError, SizeMismatchError, VariantMismatchError
+from .errors import check_count, check_iterable, check_type
 from .ops import CORNERS
 from .partition import Partition
 from .variants import BLACK, WHITE, ColoredPartition, invert_color
@@ -92,6 +93,7 @@ def double_factorial(n: int) -> int:
 
 def is_pair_partition(p: Partition) -> bool:
     """True when every block has exactly two points."""
+    check_type(p, Partition, "an operand", VariantMismatchError)
     return all(c == 2 for c in Counter(p.blocks).values())
 
 
@@ -129,6 +131,7 @@ def is_noncrossing(p: Partition) -> bool:
     row right to left) and looks for positions a < b < c < d where a, c lie
     in one block and b, d in a different one.
     """
+    check_type(p, Partition, "an operand", VariantMismatchError)
     k = p.upper_count
     seq = p.blocks[:k] + p.blocks[k:][::-1]
     n = len(seq)
@@ -179,8 +182,8 @@ def components_by_dfs(vertices, edges) -> dict:
     `edges`, in time linear in vertices plus edges. Edge endpoints must be
     listed in `vertices`.
     """
-    adjacency = {v: [] for v in vertices}
-    for u, v in edges:
+    adjacency = {v: [] for v in check_iterable(vertices, "the vertices")}
+    for u, v in check_iterable(edges, "the edges"):
         if u not in adjacency or v not in adjacency:
             raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
         adjacency[u].append(v)
@@ -204,6 +207,8 @@ def compose_via_dfs(p: Partition, q: Partition) -> Partition:
     """Same contract as :func:`partcat.ops.compose`, connectivity computed by
     depth-first search over the blocks of both operands, joined at the
     interface."""
+    check_type(p, Partition, "an operand", VariantMismatchError)
+    check_type(q, Partition, "an operand", VariantMismatchError)
     ell = p.upper_count
     if q.lower_count != ell:
         raise SizeMismatchError(
@@ -229,6 +234,8 @@ def compose_reference(p: Partition, q: Partition) -> Partition:
     operands is a vertex, with q's lower row glued to p's upper row) and
     takes the transitive closure by merging overlapping point sets.
     """
+    check_type(p, Partition, "an operand", VariantMismatchError)
+    check_type(q, Partition, "an operand", VariantMismatchError)
     ell = p.upper_count
     if q.lower_count != ell:
         raise SizeMismatchError(

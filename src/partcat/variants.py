@@ -146,17 +146,13 @@ def colored_compose(p: ColoredPartition, q: ColoredPartition) -> ColoredPartitio
     """
     check_type(p, ColoredPartition, "an operand", VariantMismatchError)
     check_type(q, ColoredPartition, "an operand", VariantMismatchError)
-    if q.base.lower_count != p.base.upper_count:
-        raise SizeMismatchError(
-            f"cannot compose: q has {q.base.lower_count} lower points "
-            f"but p has {p.base.upper_count} upper points"
-        )
+    base = compose(p.base, q.base)  # raises SizeMismatchError first
     if q.lower_colors != p.upper_colors:
         raise ColorMismatchError(
             f"cannot compose: interface colors {''.join(q.lower_colors)!r} "
             f"of q do not match {''.join(p.upper_colors)!r} of p"
         )
-    return ColoredPartition._from_raw(compose(p.base, q.base), q.upper_colors, p.lower_colors)
+    return ColoredPartition._from_raw(base, q.upper_colors, p.lower_colors)
 
 
 def colored_rotate(p: ColoredPartition, corner: str) -> ColoredPartition:
@@ -275,8 +271,8 @@ def flatten(k: int, l: int, m: int, blocks) -> Partition:
     n = k + l
     labels = [0] * (n * m)
     seen = 0
-    for index, block in enumerate(blocks, start=1):
-        for entry in block:
+    for index, block in enumerate(check_iterable(blocks, "blocks"), start=1):
+        for entry in check_iterable(block, "a block"):
             try:
                 i, j = entry
             except (TypeError, ValueError):

@@ -391,17 +391,45 @@ def _compose_cover(members, bound, variant, bases):
     return covered
 
 
-def test_engine_work_on_the_924_run():
-    # {fork, identity, pair} @6 as `generate` runs it: one pair per orbit,
-    # less the compose pairs the tensor and identity laws give. The bucketed
-    # partner lists may skip only over-bound pairs, never an evaluated one.
-    # One involution and two reflections per orbit visit each of the 396
-    # orbits once.
-    counting = _CountingOps(_PLAIN)
-    members = _saturate([IDENTITY, PAIR], [FORK, IDENTITY, PAIR], 6, counting)
-    assert len(members) == 1275
+@pytest.mark.parametrize(
+    "variant, bases, generators, bound, work",
+    [
+        # {fork, identity, pair} @6: the 924 run.
+        pytest.param(
+            _PLAIN, [IDENTITY, PAIR], [FORK, IDENTITY, PAIR], 6,
+            (1_275, 16_138, 1_401, 396, 792, 1_078), id="nc6",
+        ),
+        pytest.param(
+            _PLAIN, [IDENTITY, PAIR], [FORK, CROSSING], 6,
+            (1_837, 43_945, 1_769, 566, 1_132, 1_558), id="all6",
+        ),
+        pytest.param(
+            _PLAIN, [IDENTITY, PAIR], [CROSSING], 8,
+            (1_069, 11_079, 808, 337, 674, 944), id="pair8",
+        ),
+        pytest.param(
+            _COLORED, colored_base_partitions(), [], 8,
+            (2_343, 950, 2_632, 630, 1_260, 2_068), id="col8",
+        ),
+        pytest.param(
+            _SPATIAL, spatial_base_partitions(2), [lift_to_levels(FORK, 2)], 6,
+            (1_275, 16_138, 1_401, 396, 792, 1_078), id="sp6",
+        ),
+    ],
+)
+def test_engine_work_on_the_generate_jobs(variant, bases, generators, bound, work):
+    # The five jobs of the `generate` benchmark as it runs them: one pair
+    # per orbit, less the compose pairs the tensor and identity laws give.
+    # The bucketed partner lists may skip only over-bound pairs, never an
+    # evaluated one. One involution and two reflections per orbit visit each
+    # orbit once. Work is members / compose / tensor / involution / reflect /
+    # rotate.
+    counting = _CountingOps(variant)
+    members = _saturate(bases, generators, bound, counting)
+    count, *calls = work
+    assert len(members) == count
     assert counting.calls == Counter(
-        compose=16_138, tensor=1_401, involution=396, reflect=792, rotate=1_078
+        dict(zip(("compose", "tensor", "involution", "reflect", "rotate"), calls))
     )
 
 

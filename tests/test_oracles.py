@@ -4,12 +4,15 @@ import pytest
 
 from partcat import (
     CORNERS,
+    ColoredPartition,
     EnumerationLimitError,
     IDENTITY,
     PAIR,
     Partition,
+    VariantMismatchError,
     canonical_labels,
     components_by_dfs,
+    compose_via_dfs,
     involution,
     rotate,
     tensor,
@@ -164,6 +167,31 @@ def test_dfs_examples():
     assert len(set(rep.values())) == 3
     with pytest.raises(ValueError):
         components_by_dfs({1}, [(1, 2)])
+    for vertices, edges in ((5, []), ([1], 5)):
+        with pytest.raises(ValueError, match="must be iterable"):
+            components_by_dfs(vertices, edges)
+
+
+@pytest.mark.parametrize(
+    "wrong", [5, None, ColoredPartition(IDENTITY, "w", "w")], ids=["int", "None", "colored"]
+)
+@pytest.mark.parametrize(
+    "function, arity",
+    [
+        pytest.param(function, arity, id=function.__name__)
+        for function, arity in (
+            (is_noncrossing, 1),
+            (is_pair_partition, 1),
+            (compose_via_dfs, 2),
+            (compose_reference, 2),
+        )
+    ],
+)
+def test_oracles_reject_operands_that_are_not_partitions(function, arity, wrong):
+    # The same error and message as the operations in `ops`.
+    for operands in [(wrong,)] if arity == 1 else [(wrong, IDENTITY), (IDENTITY, wrong)]:
+        with pytest.raises(VariantMismatchError, match="an operand must be a Partition"):
+            function(*operands)
 
 
 def test_dfs_matches_merge_overlapping_on_random_graphs():

@@ -249,6 +249,11 @@ def test_flatten_rejects_malformed_blocks():
     for entry in (1, None, (1,), (1, 1, 1)):
         with pytest.raises(LevelStructureError):
             flatten(1, 1, 1, [[entry, (2, 1)]])
+    # Blocks, or a block, that are not iterable: ValueError, as for any
+    # iterable argument.
+    for blocks in (5, None, [5]):
+        with pytest.raises(ValueError, match="must be iterable"):
+            flatten(1, 1, 1, blocks)
     # Point and level counts that are not counts.
     for k, l, m in ((1.5, 1, 1), (1, 1.5, 1), (1, 1, 1.5), (-1, 1, 1), (1, -1, 1), (1, 1, -1),
                     (1, 1, 0), (True, 1, 1), ("1", 1, 1)):
