@@ -5,8 +5,6 @@ Exit codes: 0 on success, 1 on usage or parse errors, 2 on domain errors
 message names the violated precondition.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -33,14 +31,10 @@ from .words import parse_word, partition_of_word
 _CORNER_ALIASES = {"tl": "top-left", "tr": "top-right", "bl": "bottom-left", "br": "bottom-right"}
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # argparse exits with 2 by default; usage problems are exit 1 here
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _emit(values, args, render, to_json):
@@ -179,9 +173,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 1

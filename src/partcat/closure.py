@@ -139,8 +139,6 @@ members; smallest first records most splits before the pairs that need
 them.
 """
 
-from __future__ import annotations
-
 from collections import defaultdict
 from collections.abc import Callable, Iterable
 from operator import attrgetter

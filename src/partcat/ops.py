@@ -6,8 +6,6 @@ return canonical partitions; label collisions between the two operands of a
 binary operation are handled internally.
 """
 
-from __future__ import annotations
-
 from array import array
 
 from .errors import EmptyRowError, SizeMismatchError, VariantMismatchError, check_type

@@ -10,8 +10,6 @@ operation to every pair of members. Sizes are guarded so a typo cannot
 trigger an explosion.
 """
 
-from __future__ import annotations
-
 from collections import Counter, defaultdict
 from math import comb
 
@@ -99,11 +97,13 @@ def is_pair_partition(p: Partition) -> bool:
 
 def has_even_blocks(p: Partition) -> bool:
     """True when every block has an even number of points."""
+    check_type(p, Partition, "an operand", VariantMismatchError)
     return all(c % 2 == 0 for c in Counter(p.blocks).values())
 
 
 def has_blocks_of_at_most_two(p: Partition) -> bool:
     """True when every block has one or two points."""
+    check_type(p, Partition, "an operand", VariantMismatchError)
     return all(c <= 2 for c in Counter(p.blocks).values())
 
 
@@ -114,6 +114,7 @@ def is_free_unitary(cp: ColoredPartition) -> bool:
     rotated down, inverting its colors, every block joins a white and a
     black point.
     """
+    check_type(cp, ColoredPartition, "an operand", VariantMismatchError)
     p = cp.base
     if not (is_pair_partition(p) and is_noncrossing(p)):
         return False
@@ -179,15 +180,22 @@ def components_by_dfs(vertices, edges) -> dict:
     """Map each vertex to a canonical representative of its connected component.
 
     Runs an iterative depth-first search over the undirected graph given by
-    `edges`, in time linear in vertices plus edges. Edge endpoints must be
-    listed in `vertices`.
+    `edges`, in time linear in vertices plus edges. Vertices must be
+    hashable, and each edge a pair of vertices listed in `vertices`.
     """
-    adjacency = {v: [] for v in check_iterable(vertices, "the vertices")}
-    for u, v in check_iterable(edges, "the edges"):
-        if u not in adjacency or v not in adjacency:
-            raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+    adjacency = {}
+    for v in check_iterable(vertices, "the vertices"):
+        try:
+            adjacency[v] = []
+        except TypeError:
+            raise ValueError(f"a vertex must be hashable, got {v!r}") from None
+    for edge in check_iterable(edges, "the edges"):
+        try:
+            u, v = edge
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        except (TypeError, ValueError, KeyError):
+            raise ValueError(f"an edge must be a pair of listed vertices, got {edge!r}") from None
     representative = {}
     for start in adjacency:
         if start in representative:

@@ -11,8 +11,6 @@ the same thing as partition equivalence, so values can be compared with
 `==` and stored in sets and dicts directly.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Sequence
 
 from .errors import check_iterable
@@ -130,18 +128,6 @@ class Partition:
         return self.upper_count + self.lower_count
 
     @property
-    def upper_points(self) -> int:
-        return self.upper_count
-
-    @property
-    def lower_points(self) -> int:
-        return self.lower_count
-
-    # The compose interface: (p, q) composes when q.lower_key == p.upper_key.
-    upper_key = upper_points
-    lower_key = lower_points
-
-    @property
     def sort_key(self):
         """Deterministic ordering used for emitted partition lists."""
         return (self.size, self.upper_count, self.blocks)
@@ -170,6 +156,11 @@ class Partition:
         lo = ",".join(map(str, self.lower))
         return f"{up}|{lo}"
 
+
+# The value protocol's point counts, and the compose interface ((p, q)
+# composes when q.lower_key == p.upper_key), are the count slots themselves.
+Partition.upper_points = Partition.upper_key = Partition.upper_count
+Partition.lower_points = Partition.lower_key = Partition.lower_count
 
 #: The one-upper/one-lower single-block partition.
 IDENTITY = Partition((1,), (1,))

@@ -7,8 +7,6 @@ partitions carry the level count up front: `m=2;1,2,3,4|4,3,2,1`. Parsing
 always normalizes.
 """
 
-from __future__ import annotations
-
 import json
 import re
 

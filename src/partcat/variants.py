@@ -8,8 +8,6 @@ sits at flat position m*(i-1)+j, and all operations are delegated to the
 flattened partition after checking that the level counts agree.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable
 
 from .errors import (
@@ -89,15 +87,6 @@ class ColoredPartition:
     def lower_points(self) -> int:
         return self.base.lower_count
 
-    # The compose interface is the color string; it fixes the point count.
-    @property
-    def upper_key(self):
-        return self.upper_colors
-
-    @property
-    def lower_key(self):
-        return self.lower_colors
-
     @property
     def sort_key(self):
         return self.base.sort_key + (self.upper_colors, self.lower_colors)
@@ -119,6 +108,11 @@ class ColoredPartition:
             f"ColoredPartition({self.base!r}, "
             f"{''.join(self.upper_colors)!r}, {''.join(self.lower_colors)!r})"
         )
+
+
+# The compose interface is the color string (the color slots); it fixes the point count.
+ColoredPartition.upper_key = ColoredPartition.upper_colors
+ColoredPartition.lower_key = ColoredPartition.lower_colors
 
 
 def colored_tensor(p: ColoredPartition, q: ColoredPartition) -> ColoredPartition:

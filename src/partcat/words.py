@@ -7,25 +7,47 @@ as written, without cancelling adjacent equal letters; taking the kernel of
 the resulting index sequence yields the partition attached to the word.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import ParseError, check_type
 from .partition import Partition
 from .textio import _read_int
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class _Word:
+    """A tuple of letters, checked on construction: the tuple once, then its
+    letters by the class's `_check_letters`. Immutable; equal, with equal
+    hashes, to a word of the same class with equal letters."""
+
+    __slots__ = ("_letters",)
+
+    def __init__(self, letters=()):
+        check_type(letters, tuple, "letters", ValueError)
+        self._check_letters(letters)
+        self._letters = letters
+
+    letters = property(attrgetter("_letters"))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._letters == other._letters
+
+    def __hash__(self):
+        return hash(self._letters)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(letters={self._letters!r})"
+
+
+class FreeWord(_Word):
     """A word x_{i1}^{e1} ... x_{im}^{em} with indices >= 1 and exponents +-1."""
 
-    letters: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_type(self.letters, tuple, "letters", ValueError)
-        for letter in self.letters:
+    def _check_letters(self, letters: tuple[tuple[int, int], ...]):
+        for letter in letters:
             try:
                 gen, exp = letter
             except (TypeError, ValueError):
@@ -39,20 +61,18 @@ class FreeWord:
                 raise ValueError(f"exponent must be the integer +1 or -1, got {exp!r}")
 
 
-@dataclass(frozen=True)
-class InvolutiveWord:
+class InvolutiveWord(_Word):
     """A string of involutive generator indices a_{i1} ... a_{in}."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_type(self.letters, tuple, "letters", ValueError)
-        for i in self.letters:
+    def _check_letters(self, letters: tuple[int, ...]):
+        for i in letters:
             if type(i) is not int and not isinstance(i, int) or i < 1:
                 raise ValueError(f"letter index must be an integer >= 1, got {i!r}")
 
     def __len__(self):
-        return len(self.letters)
+        return len(self._letters)
 
 
 _TOKEN = re.compile(r"x([0-9]+)(\^-1)?")

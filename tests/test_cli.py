@@ -1,5 +1,9 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import partcat
 from partcat.cli import main
 from partcat.oracles import enumerate_all, is_noncrossing, is_pair_partition
 
@@ -193,3 +197,17 @@ def test_enumerate_json(capsys):
         {"upper": [], "lower": [1, 1]},
         {"upper": [], "lower": [1, 2]},
     ]
+
+
+def test_import_loads_no_dataclasses_or_future():
+    # A fresh interpreter, so modules loaded by the test run do not count.
+    src = str(Path(partcat.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules)\n"
+        "import partcat, partcat.cli\n"
+        "print(sorted({'dataclasses', '__future__'} & (set(sys.modules) - before)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"

@@ -23,6 +23,9 @@ from partcat.oracles import (
     compose_reference,
     double_factorial,
     enumerate_all,
+    has_blocks_of_at_most_two,
+    has_even_blocks,
+    is_free_unitary,
     is_noncrossing,
     is_pair_partition,
     merge_overlapping,
@@ -170,6 +173,16 @@ def test_dfs_examples():
     for vertices, edges in ((5, []), ([1], 5)):
         with pytest.raises(ValueError, match="must be iterable"):
             components_by_dfs(vertices, edges)
+    # An unhashable vertex, or an edge that is not a pair of listed
+    # vertices, is named in the ValueError.
+    for vertices, edges, entry in (
+        ([1], [5], "5"),
+        ([1], [None], "None"),
+        ([[1]], [], r"\[1\]"),
+        ([1], [([1], 1)], r"\(\[1\], 1\)"),
+    ):
+        with pytest.raises(ValueError, match=f"got {entry}$"):
+            components_by_dfs(vertices, edges)
 
 
 @pytest.mark.parametrize(
@@ -182,6 +195,8 @@ def test_dfs_examples():
         for function, arity in (
             (is_noncrossing, 1),
             (is_pair_partition, 1),
+            (has_even_blocks, 1),
+            (has_blocks_of_at_most_two, 1),
             (compose_via_dfs, 2),
             (compose_reference, 2),
         )
@@ -192,6 +207,12 @@ def test_oracles_reject_operands_that_are_not_partitions(function, arity, wrong)
     for operands in [(wrong,)] if arity == 1 else [(wrong, IDENTITY), (IDENTITY, wrong)]:
         with pytest.raises(VariantMismatchError, match="an operand must be a Partition"):
             function(*operands)
+
+
+@pytest.mark.parametrize("wrong", [5, None, IDENTITY], ids=["int", "None", "partition"])
+def test_is_free_unitary_rejects_operands_that_are_not_colored(wrong):
+    with pytest.raises(VariantMismatchError, match="an operand must be a ColoredPartition"):
+        is_free_unitary(wrong)
 
 
 def test_dfs_matches_merge_overlapping_on_random_graphs():

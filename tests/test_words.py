@@ -69,6 +69,29 @@ def test_word_validation():
             InvolutiveWord(letters)
 
 
+def test_word_value_semantics():
+    assert FreeWord().letters == () and InvolutiveWord().letters == ()
+    assert FreeWord(letters=((1, -1),)) == FreeWord(((1, -1),))
+    assert InvolutiveWord(letters=(1, 2)) == InvolutiveWord((1, 2))
+    # Equal only within one class, and never to a bare tuple.
+    assert FreeWord(()) != InvolutiveWord(())
+    assert FreeWord(()) != () and InvolutiveWord(()) != ()
+    assert FreeWord(((1, 1),)) != FreeWord(((1, -1),))
+    a, b = FreeWord(((2, 1), (1, -1))), FreeWord(((2, 1), (1, -1)))
+    assert a is not b and hash(a) == hash(b) and len({a, b}) == 1
+    c, d = InvolutiveWord((3, 1)), InvolutiveWord((3, 1))
+    assert hash(c) == hash(d) and len({c, d}) == 1
+    assert repr(FreeWord(((1, -1),))) == "FreeWord(letters=((1, -1),))"
+    assert repr(InvolutiveWord((1, 2))) == "InvolutiveWord(letters=(1, 2))"
+    for w in (a, c):
+        with pytest.raises(AttributeError):
+            w.letters = ()
+        with pytest.raises(AttributeError):
+            del w.letters
+    assert a.letters == ((2, 1), (1, -1)) and c.letters == (3, 1)
+    assert len(InvolutiveWord((1, 2))) == 2
+
+
 def test_to_involutive_worked_example():
     w = parse_word("x1 x2 x1^-1 x3^-1 x2 x3")
     assert to_involutive(w).letters == (1, 2, 1, 3, 2, 1, 4, 1, 1, 3, 1, 4)
