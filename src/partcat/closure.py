@@ -19,8 +19,13 @@ semi-decided. Some partitions of size <= n are reachable only through
 intermediates larger than n, so absence from a bounded closure never proves
 absence from the category (and no general decision procedure can exist).
 
-The same engine runs over colored and spatial partitions, parameterized by
-the operations and base partitions of the variant.
+One engine runs all three variants, on raw members: the hashable tuples
+that the kernels of :class:`partcat.ops._Plain` and
+:class:`partcat.variants._Colored` take, an upper point count and a block
+vector, then a colored member's color rows. A spatial member is its
+flattened form, m points to a column, so its sizes and the bound count
+flat points. The member dict deduplicates raw members, and a value object
+is built once per member kept, when the run returns.
 
 Only one pair per symmetry orbit is composed or tensored. With R the
 vertical reflection and I the involution,
@@ -140,51 +145,19 @@ them.
 """
 
 from collections import defaultdict
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
+from functools import partial
 from operator import attrgetter
-from typing import NamedTuple
 
-from . import ops as _ops
-from . import variants as _v
 from .errors import BoundError, LevelMismatchError, VariantMismatchError
 from .errors import check_count, check_iterable, check_type
+from .ops import _Plain
 from .partition import IDENTITY, PAIR, Partition
-
-
-class _Variant(NamedTuple):
-    """The operations of one partition variant, as the functions themselves.
-
-    The engine calls them directly, not through wrappers or methods on the
-    values, so a profile attributes each call into `ops` or `variants` to
-    this module; the benchmark's traced counters rely on that. Everything
-    else the engine needs is read off the values: `size`,
-    `upper_points`/`lower_points`, the compose interface
-    `upper_key`/`lower_key`, and `sort_key`.
-    """
-
-    kind: str
-    value_type: type
-    involution: Callable
-    reflect: Callable
-    rotate: Callable
-    tensor: Callable
-    compose: Callable
-
-
-_PLAIN = _Variant(
-    "plain", Partition, _ops.involution, _ops.reflect_vertical, _ops.rotate,
-    _ops.tensor, _ops.compose,
-)
-_COLORED = _Variant(
-    "colored", _v.ColoredPartition, _v.colored_involution, _v.colored_reflect,
-    _v.colored_rotate, _v.colored_tensor, _v.colored_compose,
-)
-_SPATIAL = _Variant(
-    "spatial", _v.SpatialPartition, _v.spatial_involution, _v.spatial_reflect,
-    _v.spatial_rotate, _v.spatial_tensor, _v.spatial_compose,
-)
+from .variants import ColoredPartition, SpatialPartition, _Colored
+from .variants import colored_base_partitions, spatial_base_partitions
 
 _sort_key = attrgetter("sort_key")
+_KIND = {Partition: "plain", ColoredPartition: "colored", SpatialPartition: "spatial"}
 
 
 class ClosureSet:
@@ -198,14 +171,14 @@ class ClosureSet:
     no procedure can decide full membership in general.
     """
 
-    __slots__ = ("bound", "generators", "members", "saturated", "_variant", "_by_shape")
+    __slots__ = ("bound", "generators", "members", "saturated", "_type", "_by_shape")
 
-    def __init__(self, bound, generators, members, variant):
+    def __init__(self, bound, generators, members, value_type):
         self.bound = bound
         self.generators = tuple(generators)
         self.members = frozenset(members)
         self.saturated = True
-        self._variant = variant
+        self._type = value_type
         self._by_shape = None  # (upper points, lower points) -> members, built on first use
 
     def __len__(self):
@@ -216,7 +189,7 @@ class ClosureSet:
 
     def __repr__(self):
         return (
-            f"<ClosureSet {self._variant.kind}: {len(self.members)} members, "
+            f"<ClosureSet {_KIND[self._type]}: {len(self.members)} members, "
             f"bound={self.bound}, generators={len(self.generators)}>"
         )
 
@@ -249,7 +222,7 @@ class ClosureSet:
         False only states that no derivation stayed within the bound; it
         does not rule out membership in the generated category.
         """
-        check_type(p, self._variant.value_type, "the queried value", VariantMismatchError)
+        check_type(p, self._type, "the queried value", VariantMismatchError)
         if p.size > self.bound:
             raise BoundError(
                 f"partition of size {p.size} exceeds the bound {self.bound}"
@@ -261,17 +234,19 @@ class ClosureSet:
         return sorted(self.members, key=_sort_key)
 
 
-def _saturate(bases, generators, bound, variant):
-    """The members of the closure of `bases` and `generators` within `bound`,
-    in insertion order.
+def _saturate(bases, generators, bound, kernels, width):
+    """The raw members of the closure of the raw `bases` and `generators`
+    within `bound`, in insertion order, by the kernel table `kernels`.
 
-    The bases that fit the bound are added first, then the generators. The
-    engine flags the bases of shape (1, 1), the identity bases, for the
-    identity-column law. Each R/I orbit enters the worklist whole when its
-    first member is found, and is processed once, when it is popped. Each
-    evaluated tensor writes its split record to its result's whole orbit.
+    Sizes and `bound` count points, `width` to a column. The bases that fit
+    the bound are added first, then the generators; the bases of shape
+    (width, width) are flagged as identity bases. Each R/I orbit enters the
+    worklist whole when its first member is found, and is processed once,
+    when it is popped. Each evaluated tensor writes its split record to its
+    result's whole orbit. The kernels are called directly, so a profile
+    attributes each call to this module, as the benchmark's counters need.
     """
-    members = {}  # member -> index into the lists below
+    members = {}  # raw member -> index into the lists below
     stacks = [[] for _ in range(bound + 1)]  # unpopped orbits by size
     # By member index: mates holds the indices of the member and of its R, I
     # and RI images; bit i of splits says the member is a tensor of two
@@ -281,13 +256,13 @@ def _saturate(bases, generators, bound, variant):
     mates = []
     splits = []
     column = []
-    involution = variant.involution
-    reflect = variant.reflect
+    involution = kernels.involution
+    reflect = kernels.reflect_vertical
 
     def add(x):
         if x not in members:
             inv = involution(x)
-            orbit = x, reflect(x), inv, reflect(inv)
+            orbit = x, reflect(x, width), inv, reflect(inv, width)
             frame = [members.setdefault(y, len(members)) for y in orbit]
             # New members come in index order; R, I and RI move orbit
             # position pos to pos ^ 1, pos ^ 2 and pos ^ 3.
@@ -296,27 +271,29 @@ def _saturate(bases, generators, bound, variant):
                     mates.append((i, frame[pos ^ 1], frame[pos ^ 2], frame[pos ^ 3]))
                     splits.append(0)
                     column.append(False)
-            stacks[x.size].append(orbit)
+            stacks[len(x[1])].append(orbit)
 
     identity = set()  # indices of the identity bases
     for b in bases:
-        if b.size <= bound:
+        if len(b[1]) <= bound:
             add(b)
-            if b.upper_points == b.lower_points == 1:
+            if b[0] == len(b[1]) - b[0] == width:
                 identity.add(members[b])
                 column[members[b]] = True  # R and I fix it
     for g in generators:
         add(g)
 
-    # Processed members as (y, index, first filed of its class): tensor right
-    # factors by size with their own index, compose tops by their lower-row
-    # interface and upper points with the index of their I-image, so a run
-    # visits only the buckets within the bound.
+    # Processed members: tensor right factors by size as (y, index, first
+    # filed of its class, upper points, lower points), and compose tops by
+    # their lower-row interface and upper points as (y, index of its
+    # I-image, first filed), so a run visits only the buckets within the
+    # bound.
     by_size = defaultdict(list)
     as_top = defaultdict(list)
-    rotate = variant.rotate
-    tensor = variant.tensor
-    compose = variant.compose
+    keys = kernels.keys
+    rotate = kernels.rotate
+    tensor = kernels.tensor
+    compose = kernels.compose
 
     while True:
         for stack in stacks:  # the smallest unpopped orbit first
@@ -327,30 +304,31 @@ def _saturate(bases, generators, bound, variant):
         x, ref, inv, ref_inv = stack.pop()
         a, ra, ia, ria = mates[members[x]]
         for y in {a: x, ra: ref, ia: inv, ria: ref_inv}.values():
-            if y.upper_points:
-                add(rotate(y, "top-left"))
+            if y[0]:
+                add(rotate(y, "top-left", width))
 
         # Tensor: I-classes; y is the left factor. Each split is written to
         # the whole orbit of z: R z == tensor(R q, R y), I z == tensor(I y, I q).
-        sx = x.size
+        sx = len(x[1])
         fixed = ia == a  # I fixes x, and so R x
         for y, i, first in _orbit_steps(x, a, inv, ia, ref, ra, ref_inv, ria):
+            yu, yl = y[0], sx - y[0]
             if first is not None:
-                by_size[sx].append((y, i, first))
+                by_size[sx].append((y, i, first, yu, yl))
                 continue
-            yu, yl, beside = y.upper_points, y.lower_points, i in identity
+            beside = i in identity
             for s in range(bound - sx + 1):
-                for q, j, q_first in by_size.get(s, ()):
+                for q, j, q_first, qu, ql in by_size.get(s, ()):
                     if q_first or not fixed:
                         z = tensor(y, q)
                         add(z)
                         k, rk, ik, rik = mates[members[z]]
-                        if yu and q.upper_points:
+                        if yu and qu:
                             splits[k] |= 1 << yu
-                            splits[rk] |= 1 << q.upper_points
-                        if yl and q.lower_points:
+                            splits[rk] |= 1 << qu
+                        if yl and ql:
                             splits[ik] |= 1 << yl
-                            splits[rik] |= 1 << q.lower_points
+                            splits[rik] |= 1 << ql
                         if beside or j in identity:
                             column[k] = column[rk] = column[ik] = column[rik] = True
 
@@ -361,15 +339,18 @@ def _saturate(bases, generators, bound, variant):
             continue
         fixed = ra == a  # R fixes x, and so I x
         for y, i, first in _orbit_steps(x, a, ref, ra, inv, ia, ref_inv, ria):
+            yu = y[0]
             if first is not None:
-                if y.lower_points:
-                    as_top[y.lower_key, y.upper_points].append((y, mates[i][2], first))
-            elif y.upper_points:
-                key, mask = y.upper_key, splits[i]
-                for tu in range(bound - y.lower_points + 1):
+                if yu < sx:
+                    as_top[keys(y)[1], yu].append((y, mates[i][2], first))
+            elif yu:
+                key, mask = keys(y)[0], splits[i]
+                for tu in range(bound - sx + yu + 1):
                     for q, j, q_first in as_top.get((key, tu), ()):
                         if (q_first or not fixed) and not mask & splits[j]:
-                            add(compose(y, q))
+                            z = compose(y, q)
+                            if z not in members:  # most are known; skip the call
+                                add(z)
 
 
 def _orbit_steps(x, a, mate, b, y, c, y_mate, d):
@@ -389,20 +370,23 @@ def _orbit_steps(x, a, mate, b, y, c, y_mate, d):
     return steps
 
 
-def _checked(generators, variant):
+def _checked(generators, value_type):
     generators = list(check_iterable(generators, "generators"))
-    role = f"a {variant.kind} closure generator"
+    role = f"a {_KIND[value_type]} closure generator"
     for g in generators:
-        check_type(g, variant.value_type, role, VariantMismatchError)
+        check_type(g, value_type, role, VariantMismatchError)
     return generators
 
 
-def _construct(generators, bound, variant, bases):
+def _construct(generators, bound, value_type, bases, kernels, wrap, width=1):
+    """Saturate the raw forms of the values; `wrap` makes each member kept a value."""
     check_count(bound, 1, "bound")
     for g in generators:
         if g.size > bound:
             raise BoundError(f"generator of size {g.size} exceeds the bound {bound}")
-    return ClosureSet(bound, generators, _saturate(bases, generators, bound, variant), variant)
+    raw = _saturate([b._raw for b in bases], [g._raw for g in generators], bound * width,
+                    kernels, width)
+    return ClosureSet(bound, generators, [wrap(*x) for x in raw], value_type)
 
 
 def construct_closure(generators: Iterable[Partition], bound: int) -> ClosureSet:
@@ -413,7 +397,8 @@ def construct_closure(generators: Iterable[Partition], bound: int) -> ClosureSet
     always terminates; see :class:`ClosureSet` for what membership in the
     result does and does not mean.
     """
-    return _construct(_checked(generators, _PLAIN), bound, _PLAIN, [IDENTITY, PAIR])
+    generators = _checked(generators, Partition)
+    return _construct(generators, bound, Partition, [IDENTITY, PAIR], _Plain, Partition._from_raw)
 
 
 def construct_colored_closure(generators, bound: int) -> ClosureSet:
@@ -422,9 +407,9 @@ def construct_colored_closure(generators, bound: int) -> ClosureSet:
     Seeds the four colored base partitions; composition is gated on
     matching interface colors.
     """
-    return _construct(
-        _checked(generators, _COLORED), bound, _COLORED, _v.colored_base_partitions()
-    )
+    generators = _checked(generators, ColoredPartition)
+    return _construct(generators, bound, ColoredPartition, colored_base_partitions(), _Colored,
+                      ColoredPartition._from_raw)
 
 
 def construct_spatial_closure(generators, bound: int, levels: int | None = None) -> ClosureSet:
@@ -434,7 +419,7 @@ def construct_spatial_closure(generators, bound: int, levels: int | None = None)
     `levels` when no generators are given. Sizes count points of the level
     structure, not flattened points.
     """
-    generators = _checked(generators, _SPATIAL)
+    generators = _checked(generators, SpatialPartition)
     for g in generators:
         if levels is None:
             levels = g.levels
@@ -444,4 +429,5 @@ def construct_spatial_closure(generators, bound: int, levels: int | None = None)
             )
     if levels is None:
         raise ValueError("levels is required when no generators are given")
-    return _construct(generators, bound, _SPATIAL, _v.spatial_base_partitions(levels))
+    return _construct(generators, bound, SpatialPartition, spatial_base_partitions(levels), _Plain,
+                      partial(SpatialPartition._from_raw, levels), levels)

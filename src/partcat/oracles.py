@@ -16,7 +16,7 @@ from math import comb
 from .errors import EmptyRowError, EnumerationLimitError, SizeMismatchError, VariantMismatchError
 from .errors import check_count, check_iterable, check_type
 from .ops import CORNERS
-from .partition import Partition
+from .partition import Partition, canonical_labels
 from .variants import BLACK, WHITE, ColoredPartition, invert_color
 
 #: Largest point count enumerate_all / reference_counts will touch.
@@ -29,6 +29,7 @@ def growth_strings(n: int):
     The first entry is 1 and every later entry is at most one greater than
     the maximum so far, so each string is already a canonical block vector.
     """
+    check_count(n, 0, "length")
     if n == 0:
         yield ()
         return
@@ -54,7 +55,7 @@ def enumerate_all(k: int, l: int) -> set[Partition]:
         raise EnumerationLimitError(
             f"refusing to enumerate partitions on {n} points (limit {ENUMERATION_LIMIT})"
         )
-    return {Partition._from_raw(k, l, g) for g in growth_strings(n)}
+    return {Partition._from_raw(k, g) for g in growth_strings(n)}
 
 
 def canonical_labels_reference(labels) -> tuple:
@@ -232,7 +233,7 @@ def compose_via_dfs(p: Partition, q: Partition) -> Partition:
     rep = components_by_dfs(vertices, edges)
     out = [rep[v] for v in b[:k]]
     out += [rep[v + t] for v in a[ell:]]
-    return Partition._relabeled(k, out)
+    return Partition._from_raw(k, canonical_labels(out))
 
 
 def compose_reference(p: Partition, q: Partition) -> Partition:
@@ -289,9 +290,9 @@ def reference_counts(size: int) -> dict[str, int]:
 def saturate_reference(seed, bound, variant):
     """Bounded closure of `seed`, every operation applied to every member pair.
 
-    The worklist engine the symmetry-quotiented `closure._saturate` replaced,
-    kept as its differential reference. `variant` is one of the variant
-    records of :mod:`partcat.closure`; nothing is skipped by symmetry.
+    The worklist engine that `closure._saturate` replaced, with nothing
+    skipped by symmetry, kept as its differential reference. `variant` holds
+    one variant's public involution, reflect, rotate, tensor and compose.
     """
     members = set()
     queue = []

@@ -12,6 +12,7 @@ the same thing as partition equivalence, so values can be compared with
 """
 
 from collections.abc import Iterable, Sequence
+from operator import attrgetter
 
 from .errors import check_iterable
 
@@ -93,24 +94,16 @@ class Partition:
         self._hash = hash((self.upper_count, self.lower_count, self.blocks))
 
     @classmethod
-    def _from_raw(cls, upper_count: int, lower_count: int, blocks: tuple[int, ...]) -> "Partition":
-        # Internal: trusts `blocks` as given, so they must already be
-        # canonical. `ops.compose` sizes its scratch space on that: no label
-        # exceeds the number of points.
+    def _from_raw(cls, upper_count: int, blocks: tuple[int, ...]) -> "Partition":
+        # Internal: the value of a raw member, trusting `blocks` as given, so
+        # they must already be canonical. `ops.compose` sizes its scratch
+        # space on that: no label exceeds the number of points.
         p = object.__new__(cls)
         p.upper_count = upper_count
-        p.lower_count = lower_count
+        p.lower_count = lower_count = len(blocks) - upper_count
         p.blocks = blocks
         p._hash = hash((upper_count, lower_count, blocks))
         return p
-
-    @classmethod
-    def _relabeled(cls, upper_count: int, labels: Sequence) -> "Partition":
-        # Internal: the partition whose upper row holds the first
-        # `upper_count` of `labels` and whose lower row the rest. Labels may
-        # be any hashable values, since the relabel makes them canonical;
-        # only the constructor's check for non-negative ints is skipped.
-        return cls._from_raw(upper_count, len(labels) - upper_count, canonical_labels(labels))
 
     @property
     def upper(self) -> tuple[int, ...]:
@@ -161,6 +154,8 @@ class Partition:
 # composes when q.lower_key == p.upper_key), are the count slots themselves.
 Partition.upper_points = Partition.upper_key = Partition.upper_count
 Partition.lower_points = Partition.lower_key = Partition.lower_count
+# The raw member the operation kernels take: (upper_count, blocks).
+Partition._raw = property(attrgetter("upper_count", "blocks"))
 
 #: The one-upper/one-lower single-block partition.
 IDENTITY = Partition((1,), (1,))

@@ -11,7 +11,7 @@ import json
 import re
 
 from .errors import ParseError, VariantMismatchError, check_type
-from .partition import Partition
+from .partition import Partition, canonical_labels
 from .variants import ColoredPartition, SpatialPartition
 
 
@@ -94,7 +94,7 @@ def _parse_rows(text: str, start: int) -> Partition:
     lower = _parse_labels(text, bar + 1, len(text))
     # The labels are ints read from ASCII digits, so none is negative and
     # the constructor's check would pass.
-    return Partition._relabeled(len(upper), upper + lower)
+    return Partition._from_raw(len(upper), canonical_labels(upper + lower))
 
 
 def render_partition(p: Partition, fmt: str = "text") -> str:

@@ -4,8 +4,8 @@ A colored partition attaches a white/black color to every point of an
 ordinary partition; composition additionally requires the interface color
 strings to agree. A spatial partition stacks an ordinary partition shape on
 m levels; it is stored in flattened form, where the level-j copy of point i
-sits at flat position m*(i-1)+j, and all operations are delegated to the
-flattened partition after checking that the level counts agree.
+sits at flat position m*(i-1)+j. Its operations check that the level counts
+agree and run the plain kernels on the flattened form, m points to a column.
 """
 
 from collections.abc import Iterable
@@ -14,14 +14,13 @@ from .errors import (
     ColorMismatchError,
     LevelMismatchError,
     LevelStructureError,
-    SizeMismatchError,
     VariantMismatchError,
     check_count,
     check_iterable,
     check_type,
 )
-from .ops import compose, corner_move, involution, reflect_vertical, rotate, tensor
-from .partition import IDENTITY, PAIR, Partition
+from .ops import _Plain, check_interface, corner_move, reverse_columns
+from .partition import IDENTITY, PAIR, Partition, canonical_labels
 
 WHITE = "w"
 BLACK = "b"
@@ -64,12 +63,12 @@ class ColoredPartition:
         self._hash = hash((base, uc, lc))
 
     @classmethod
-    def _from_raw(cls, base: Partition, upper_colors: tuple, lower_colors: tuple) -> "ColoredPartition":
-        # Internal: trusts the color tuples to hold valid colors and to match
-        # the rows of `base`. Used for the results of operations on checked
-        # values.
+    def _from_raw(cls, upper_count: int, blocks: tuple, upper_colors: tuple, lower_colors: tuple):
+        # Internal: the value of a raw member, trusting `blocks` to be
+        # canonical and the color tuples to hold valid colors and to match
+        # its rows. Used for the results of operations on checked values.
         p = object.__new__(cls)
-        p.base = base
+        p.base = base = Partition._from_raw(upper_count, blocks)
         p.upper_colors = upper_colors
         p.lower_colors = lower_colors
         p._hash = hash((base, upper_colors, lower_colors))
@@ -113,23 +112,51 @@ class ColoredPartition:
 # The compose interface is the color string (the color slots); it fixes the point count.
 ColoredPartition.upper_key = ColoredPartition.upper_colors
 ColoredPartition.lower_key = ColoredPartition.lower_colors
+ColoredPartition._raw = property(lambda p: p.base._raw + (p.upper_colors, p.lower_colors))
+
+
+class _Colored:
+    """The colored operations as kernels on raw members (upper count, blocks,
+    upper colors, lower colors): the plain kernels plus the color rows.
+    Unchecked like them; `colored_compose` trusts the interface colors."""
+
+    def colored_tensor(p, q):
+        return _Plain.tensor(p, q) + (p[2] + q[2], p[3] + q[3])
+
+    def colored_involution(p):
+        return _Plain.involution(p) + (p[3], p[2])
+
+    def colored_compose(p, q):
+        return _Plain.compose(p, q) + (q[2], p[3])
+
+    def colored_rotate(p, corner, width):
+        colors, k, at = corner_move(p[2] + p[3], p[0], corner, width)
+        moved = tuple(map(invert_color, colors[at : at + width]))
+        colors = colors[:at] + moved + colors[at + width :]
+        return _Plain.rotate(p, corner, width) + (colors[:k], colors[k:])
+
+    def colored_reflect(p, width):
+        colors = tuple(reverse_columns(p[2] + p[3], p[0], width))
+        return _Plain.reflect_vertical(p, width) + (colors[: p[0]], colors[p[0] :])
+
+    def keys(p):  # the compose interfaces are the color rows
+        return p[2], p[3]
+
+    tensor, involution, compose = colored_tensor, colored_involution, colored_compose
+    rotate, reflect_vertical = colored_rotate, colored_reflect
 
 
 def colored_tensor(p: ColoredPartition, q: ColoredPartition) -> ColoredPartition:
     """Horizontal concatenation; color strings concatenate row-wise."""
     check_type(p, ColoredPartition, "an operand", VariantMismatchError)
     check_type(q, ColoredPartition, "an operand", VariantMismatchError)
-    return ColoredPartition._from_raw(
-        tensor(p.base, q.base),
-        p.upper_colors + q.upper_colors,
-        p.lower_colors + q.lower_colors,
-    )
+    return ColoredPartition._from_raw(*_Colored.colored_tensor(p._raw, q._raw))
 
 
 def colored_involution(p: ColoredPartition) -> ColoredPartition:
     """Swap rows; the color strings swap rows with them, order unchanged."""
     check_type(p, ColoredPartition, "an operand", VariantMismatchError)
-    return ColoredPartition._from_raw(involution(p.base), p.lower_colors, p.upper_colors)
+    return ColoredPartition._from_raw(*_Colored.colored_involution(p._raw))
 
 
 def colored_compose(p: ColoredPartition, q: ColoredPartition) -> ColoredPartition:
@@ -140,31 +167,25 @@ def colored_compose(p: ColoredPartition, q: ColoredPartition) -> ColoredPartitio
     """
     check_type(p, ColoredPartition, "an operand", VariantMismatchError)
     check_type(q, ColoredPartition, "an operand", VariantMismatchError)
-    base = compose(p.base, q.base)  # raises SizeMismatchError first
+    check_interface(p.upper_points, q.lower_points)
     if q.lower_colors != p.upper_colors:
         raise ColorMismatchError(
             f"cannot compose: interface colors {''.join(q.lower_colors)!r} "
             f"of q do not match {''.join(p.upper_colors)!r} of p"
         )
-    return ColoredPartition._from_raw(base, q.upper_colors, p.lower_colors)
+    return ColoredPartition._from_raw(*_Colored.colored_compose(p._raw, q._raw))
 
 
 def colored_rotate(p: ColoredPartition, corner: str) -> ColoredPartition:
     """Rotate one end point to the other row, inverting the moved point's color."""
     check_type(p, ColoredPartition, "an operand", VariantMismatchError)
-    colors, k, at = corner_move(
-        p.upper_colors + p.lower_colors, len(p.upper_colors), corner, 1
-    )
-    colors = colors[:at] + (invert_color(colors[at]),) + colors[at + 1 :]
-    return ColoredPartition._from_raw(rotate(p.base, corner), colors[:k], colors[k:])
+    return ColoredPartition._from_raw(*_Colored.colored_rotate(p._raw, corner, 1))
 
 
 def colored_reflect(p: ColoredPartition) -> ColoredPartition:
     """Reverse both rows; every point keeps its color."""
     check_type(p, ColoredPartition, "an operand", VariantMismatchError)
-    return ColoredPartition._from_raw(
-        reflect_vertical(p.base), p.upper_colors[::-1], p.lower_colors[::-1]
-    )
+    return ColoredPartition._from_raw(*_Colored.colored_reflect(p._raw, 1))
 
 
 def colored_base_partitions() -> list[ColoredPartition]:
@@ -205,13 +226,12 @@ class SpatialPartition:
         self._hash = hash((levels, flattened))
 
     @classmethod
-    def _from_raw(cls, levels: int, flattened: Partition) -> "SpatialPartition":
-        # Internal: trusts `levels` to be a positive integer dividing both
-        # row lengths of `flattened`. Used for the results of operations on
-        # checked values.
+    def _from_raw(cls, levels: int, upper_count: int, blocks: tuple) -> "SpatialPartition":
+        # Internal: the value whose flattened form is a raw member, trusting
+        # `levels` to be a positive integer dividing both row lengths.
         p = object.__new__(cls)
         p.levels = levels
-        p.flattened = flattened
+        p.flattened = flattened = Partition._from_raw(upper_count, blocks)
         p._hash = hash((levels, flattened))
         return p
 
@@ -239,6 +259,8 @@ class SpatialPartition:
     @property
     def sort_key(self):
         return (self.levels,) + self.flattened.sort_key
+
+    _raw = property(lambda self: self.flattened._raw)
 
     def __eq__(self, other):
         if not isinstance(other, SpatialPartition):
@@ -313,7 +335,7 @@ def lift_to_levels(p: Partition, m: int) -> SpatialPartition:
     labels = []
     for b in p.blocks:
         labels.extend(b * m + j for j in range(1, m + 1))
-    return SpatialPartition(m, Partition._relabeled(p.upper_count * m, labels))
+    return SpatialPartition(m, Partition._from_raw(p.upper_count * m, canonical_labels(labels)))
 
 
 def spatial_base_partitions(m: int) -> list[SpatialPartition]:
@@ -333,44 +355,29 @@ def _check_operands(p: SpatialPartition, q: SpatialPartition):
 def spatial_tensor(p: SpatialPartition, q: SpatialPartition) -> SpatialPartition:
     """Horizontal concatenation of same-level spatial partitions."""
     _check_operands(p, q)
-    return SpatialPartition._from_raw(p.levels, tensor(p.flattened, q.flattened))
+    return SpatialPartition._from_raw(p.levels, *_Plain.tensor(p._raw, q._raw))
 
 
 def spatial_involution(p: SpatialPartition) -> SpatialPartition:
     """Swap the upper and lower rows of every level."""
     check_type(p, SpatialPartition, "an operand", VariantMismatchError)
-    return SpatialPartition._from_raw(p.levels, involution(p.flattened))
+    return SpatialPartition._from_raw(p.levels, *_Plain.involution(p._raw))
 
 
 def spatial_compose(p: SpatialPartition, q: SpatialPartition) -> SpatialPartition:
     """Stack `q` on top of `p`, level by level."""
     _check_operands(p, q)
-    if q.lower_points != p.upper_points:
-        raise SizeMismatchError(
-            f"cannot compose: q has {q.lower_points} lower points "
-            f"but p has {p.upper_points} upper points"
-        )
-    return SpatialPartition._from_raw(p.levels, compose(p.flattened, q.flattened))
+    check_interface(p.upper_points, q.lower_points)
+    return SpatialPartition._from_raw(p.levels, *_Plain.compose(p._raw, q._raw))
 
 
 def spatial_rotate(p: SpatialPartition, corner: str) -> SpatialPartition:
     """Rotate a whole point column (all m levels of one end point) at once."""
     check_type(p, SpatialPartition, "an operand", VariantMismatchError)
-    m = p.levels
-    moved, k, _ = corner_move(p.flattened.blocks, p.flattened.upper_count, corner, m)
-    return SpatialPartition._from_raw(m, Partition._relabeled(k, moved))
+    return SpatialPartition._from_raw(p.levels, *_Plain.rotate(p._raw, corner, p.levels))
 
 
 def spatial_reflect(p: SpatialPartition) -> SpatialPartition:
     """Reverse the column order of both rows, keeping level order in each column."""
     check_type(p, SpatialPartition, "an operand", VariantMismatchError)
-    m = p.levels
-    flat = p.flattened
-    ku = flat.upper_count
-    b = flat.blocks
-    # Within a row, the stride-m slice from j is level j, column by column.
-    labels = list(b)
-    for j in range(m):
-        labels[j:ku:m] = b[j:ku:m][::-1]
-        labels[ku + j :: m] = b[ku + j :: m][::-1]
-    return SpatialPartition._from_raw(m, Partition._relabeled(ku, labels))
+    return SpatialPartition._from_raw(p.levels, *_Plain.reflect_vertical(p._raw, p.levels))

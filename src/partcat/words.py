@@ -11,7 +11,7 @@ import re
 from operator import attrgetter
 
 from .errors import ParseError, check_type
-from .partition import Partition
+from .partition import Partition, canonical_labels
 from .textio import _read_int
 
 
@@ -171,4 +171,4 @@ def partition_of_word(w: FreeWord) -> Partition:
     check_type(w, FreeWord, "the word", ValueError)
     # FreeWord has checked every index to be an int >= 1, so the expansion
     # holds positive ints only.
-    return Partition._relabeled(0, _expansion(w))
+    return Partition._from_raw(0, canonical_labels(_expansion(w)))

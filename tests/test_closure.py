@@ -2,8 +2,10 @@ import cProfile
 import pstats
 import random
 from collections import Counter, defaultdict
+from collections.abc import Callable
 from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -17,15 +19,32 @@ from partcat import (
     IDENTITY,
     PAIR,
     Partition,
+    SpatialPartition,
     VariantMismatchError,
     colored_base_partitions,
+    colored_compose,
+    colored_involution,
+    colored_reflect,
+    colored_rotate,
+    colored_tensor,
+    compose,
     construct_closure,
     construct_colored_closure,
     construct_spatial_closure,
+    involution,
     lift_to_levels,
+    reflect_vertical,
+    rotate,
     spatial_base_partitions,
+    spatial_compose,
+    spatial_involution,
+    spatial_reflect,
+    spatial_rotate,
+    spatial_tensor,
+    tensor,
 )
-from partcat.closure import _COLORED, _PLAIN, _SPATIAL, _saturate
+from partcat.closure import _saturate
+from partcat.ops import _Plain
 from partcat.oracles import (
     enumerate_all,
     has_blocks_of_at_most_two,
@@ -35,9 +54,32 @@ from partcat.oracles import (
     is_pair_partition,
     saturate_reference,
 )
+from partcat.variants import _Colored
 
 from conftest import CROSSING, FORK
 from helpers import random_colored, random_partition, random_spatial
+
+
+class _Operations(NamedTuple):
+    """The public operations of one variant on values: what the reference
+    engine and the saturation check run, in place of the engine's kernels."""
+
+    kind: str
+    involution: Callable
+    reflect: Callable
+    rotate: Callable
+    tensor: Callable
+    compose: Callable
+
+
+_PLAIN = _Operations("plain", involution, reflect_vertical, rotate, tensor, compose)
+_COLORED = _Operations(
+    "colored", colored_involution, colored_reflect, colored_rotate, colored_tensor, colored_compose
+)
+_SPATIAL = _Operations(
+    "spatial", spatial_involution, spatial_reflect, spatial_rotate, spatial_tensor, spatial_compose
+)
+_OPERATIONS = {Partition: _PLAIN, ColoredPartition: _COLORED, SpatialPartition: _SPATIAL}
 
 
 def test_empty_generators_contains_bases():
@@ -202,7 +244,7 @@ def _rotations(variant, x):
 
 def _saturation_holes(closure):
     """Apply every operation to every member (pair); collect escapees."""
-    variant = closure._variant
+    variant = _OPERATIONS[closure._type]
     members = closure.members
     holes = []
     for x in members:
@@ -300,55 +342,71 @@ def test_constructors_match_reference_saturation():
 
 
 class _CountingOps:
-    """An operation table that counts its calls and records its compose and
+    """A kernel table that counts its calls and records its compose and
     tensor pairs."""
 
-    def __init__(self, ops):
-        self._ops = ops
+    def __init__(self, kernels):
+        self._kernels = kernels
         self.calls = Counter()
         self.pairs = defaultdict(list)
 
     def __getattr__(self, name):
-        return getattr(self._ops, name)
+        return getattr(self._kernels, name)
 
     def involution(self, p):
         self.calls["involution"] += 1
-        return self._ops.involution(p)
+        return self._kernels.involution(p)
 
-    def reflect(self, p):
+    def reflect_vertical(self, p, width):
         self.calls["reflect"] += 1
-        return self._ops.reflect(p)
+        return self._kernels.reflect_vertical(p, width)
 
-    def rotate(self, p, corner):
+    def rotate(self, p, corner, width):
         self.calls["rotate"] += 1
-        return self._ops.rotate(p, corner)
+        return self._kernels.rotate(p, corner, width)
 
     def compose(self, p, q):
         self.calls["compose"] += 1
         self.pairs["compose"].append((p, q))
-        return self._ops.compose(p, q)
+        return self._kernels.compose(p, q)
 
     def tensor(self, p, q):
         self.calls["tensor"] += 1
         self.pairs["tensor"].append((p, q))
-        return self._ops.tensor(p, q)
+        return self._kernels.tensor(p, q)
+
+
+def _run_engine(kernels, bases, generators, bound):
+    """The engine's raw members for values, as the constructors run it: a
+    spatial run counts flat points, its level count to a column."""
+    width = getattr(bases[0], "levels", 1)
+    raw = _saturate([b._raw for b in bases], [g._raw for g in generators], bound * width,
+                    kernels, width)
+    return set(raw), bound * width, width
+
+
+def _shape(x):
+    """Upper and lower point counts of a raw member, flat for a spatial one."""
+    return x[0], len(x[1]) - x[0]
 
 
 class _Orbits:
-    """Orbits of pairs under reflection R and involution I, and the in-bound
-    compose and tensor orbits of a member set."""
+    """Orbits of raw pairs under reflection R and involution I, and the
+    in-bound compose and tensor orbits of a raw member set."""
 
-    def __init__(self, members, bound, variant):
-        self.r = r = {x: variant.reflect(x) for x in members}
-        self.i = {x: variant.involution(x) for x in members}
+    def __init__(self, members, bound, kernels, width):
+        self.r = {x: kernels.reflect_vertical(x, width) for x in members}
+        self.i = {x: kernels.involution(x) for x in members}
+        keys = kernels.keys
         self.tensors = {
-            self.of_tensor(p, q) for p in members for q in members if p.size + q.size <= bound
+            self.of_tensor(p, q)
+            for p in members for q in members if len(p[1]) + len(q[1]) <= bound
         }
         self.composes = {
             self.of_compose(p, q)
             for p in members
             for q in members
-            if p.upper_key == q.lower_key and q.upper_points + p.lower_points <= bound
+            if keys(p)[0] == keys(q)[1] and q[0] + _shape(p)[1] <= bound
         }
 
     def of_tensor(self, p, q):
@@ -360,29 +418,30 @@ class _Orbits:
         return frozenset({(p, q), (r[p], r[q]), (i[q], i[p]), (r[i[q]], r[i[p]])})
 
 
-def _compose_cover(members, bound, variant, bases):
-    """A test for compose pairs (p bottom, q top) whose result follows from
-    smaller pairs, built from tensor over all member pairs: an empty
-    interface, an identity base (a base of shape (1, 1)) beside a member on
-    either side, or an interface that both sides split at the same position
-    into members."""
+def _compose_cover(members, bound, kernels, width, bases):
+    """A test for raw compose pairs (p bottom, q top) whose result follows
+    from smaller pairs, built from tensor over all member pairs: an empty
+    interface, an identity base (a base with one column in each row) beside
+    a member on either side, or an interface that both sides split at the
+    same position into members."""
     upper_splits, lower_splits = defaultdict(set), defaultdict(set)
-    identities = {e for e in bases if e.upper_points == e.lower_points == 1}
+    identities = {e._raw for e in bases if _shape(e._raw) == (width, width)}
     beside_identity = identities & members
     for p in members:
         for q in members:
-            if p.size + q.size <= bound:
-                z = variant.tensor(p, q)
-                if p.upper_points and q.upper_points:
-                    upper_splits[z].add(p.upper_points)
-                if p.lower_points and q.lower_points:
-                    lower_splits[z].add(p.lower_points)
+            if len(p[1]) + len(q[1]) <= bound:
+                z = kernels.tensor(p, q)
+                (pu, pl), (qu, ql) = _shape(p), _shape(q)
+                if pu and qu:
+                    upper_splits[z].add(pu)
+                if pl and ql:
+                    lower_splits[z].add(pl)
                 if p in identities or q in identities:
                     beside_identity.add(z)
 
     def covered(p, q):
         return (
-            not p.upper_points
+            not p[0]
             or p in beside_identity
             or q in beside_identity
             or bool(upper_splits[p] & lower_splits[q])
@@ -392,40 +451,40 @@ def _compose_cover(members, bound, variant, bases):
 
 
 @pytest.mark.parametrize(
-    "variant, bases, generators, bound, work",
+    "kernels, bases, generators, bound, work",
     [
         # {fork, identity, pair} @6: the 924 run.
         pytest.param(
-            _PLAIN, [IDENTITY, PAIR], [FORK, IDENTITY, PAIR], 6,
+            _Plain, [IDENTITY, PAIR], [FORK, IDENTITY, PAIR], 6,
             (1_275, 16_138, 1_401, 396, 792, 1_078), id="nc6",
         ),
         pytest.param(
-            _PLAIN, [IDENTITY, PAIR], [FORK, CROSSING], 6,
+            _Plain, [IDENTITY, PAIR], [FORK, CROSSING], 6,
             (1_837, 43_945, 1_769, 566, 1_132, 1_558), id="all6",
         ),
         pytest.param(
-            _PLAIN, [IDENTITY, PAIR], [CROSSING], 8,
+            _Plain, [IDENTITY, PAIR], [CROSSING], 8,
             (1_069, 11_079, 808, 337, 674, 944), id="pair8",
         ),
         pytest.param(
-            _COLORED, colored_base_partitions(), [], 8,
+            _Colored, colored_base_partitions(), [], 8,
             (2_343, 950, 2_632, 630, 1_260, 2_068), id="col8",
         ),
         pytest.param(
-            _SPATIAL, spatial_base_partitions(2), [lift_to_levels(FORK, 2)], 6,
+            _Plain, spatial_base_partitions(2), [lift_to_levels(FORK, 2)], 6,
             (1_275, 16_138, 1_401, 396, 792, 1_078), id="sp6",
         ),
     ],
 )
-def test_engine_work_on_the_generate_jobs(variant, bases, generators, bound, work):
+def test_engine_work_on_the_generate_jobs(kernels, bases, generators, bound, work):
     # The five jobs of the `generate` benchmark as it runs them: one pair
     # per orbit, less the compose pairs the tensor and identity laws give.
     # The bucketed partner lists may skip only over-bound pairs, never an
     # evaluated one. One involution and two reflections per orbit visit each
     # orbit once. Work is members / compose / tensor / involution / reflect /
     # rotate.
-    counting = _CountingOps(variant)
-    members = _saturate(bases, generators, bound, counting)
+    counting = _CountingOps(kernels)
+    members, _, _ = _run_engine(counting, bases, generators, bound)
     count, *calls = work
     assert len(members) == count
     assert counting.calls == Counter(
@@ -437,57 +496,79 @@ def test_one_evaluation_per_orbit():
     # Every tensor orbit is evaluated exactly once and no compose orbit
     # twice. A compose orbit left out must have a pair whose result the laws
     # give from smaller pairs, by a check built from the final members alone.
-    for ops, bases, gens, bound in (
-        (_PLAIN, [IDENTITY, PAIR], [FORK], 5),
-        (_PLAIN, [IDENTITY, PAIR], [CROSSING, Partition([1], [1, 2])], 4),
-        (_PLAIN, [IDENTITY, PAIR], [FORK, Partition([1], [2])], 5),
-        (_COLORED, colored_base_partitions(), [], 5),
-        (_SPATIAL, spatial_base_partitions(2), [lift_to_levels(FORK, 2)], 4),
+    for kernels, bases, gens, bound in (
+        (_Plain, [IDENTITY, PAIR], [FORK], 5),
+        (_Plain, [IDENTITY, PAIR], [CROSSING, Partition([1], [1, 2])], 4),
+        (_Plain, [IDENTITY, PAIR], [FORK, Partition([1], [2])], 5),
+        (_Colored, colored_base_partitions(), [], 5),
+        (_Plain, spatial_base_partitions(2), [lift_to_levels(FORK, 2)], 4),
     ):
-        counting = _CountingOps(ops)
-        members = set(_saturate(bases, gens, bound, counting))
-        orbits = _Orbits(members, bound, ops)
+        kind = type(bases[0]).__name__
+        counting = _CountingOps(kernels)
+        members, flat_bound, width = _run_engine(counting, bases, gens, bound)
+        orbits = _Orbits(members, flat_bound, kernels, width)
         tensors = Counter(orbits.of_tensor(p, q) for p, q in counting.pairs["tensor"])
         composes = Counter(orbits.of_compose(p, q) for p, q in counting.pairs["compose"])
-        assert set(tensors) == orbits.tensors, ops.kind
-        assert set(tensors.values()) == {1}, ops.kind
-        assert set(composes) <= orbits.composes, ops.kind
-        assert set(composes.values()) == {1}, ops.kind
-        covered = _compose_cover(members, bound, ops, bases)
+        assert set(tensors) == orbits.tensors, kind
+        assert set(tensors.values()) == {1}, kind
+        assert set(composes) <= orbits.composes, kind
+        assert set(composes.values()) == {1}, kind
+        covered = _compose_cover(members, flat_bound, kernels, width, bases)
         for orbit in orbits.composes - set(composes):
-            assert any(covered(p, q) for p, q in orbit), (ops.kind, orbit)
+            assert any(covered(p, q) for p, q in orbit), (kind, orbit)
 
 
-def _closure_callers(construct, *args):
-    """For each function of the package that the closure run calls, the
-    modules that call it directly, from a `cProfile` run."""
+def _profiled(construct, *args):
+    """The `pstats` rows of a `cProfile` run of one closure construction."""
     prof = cProfile.Profile()
     prof.enable()
     try:
         construct(*args)
     finally:
         prof.disable()
-    callers = defaultdict(set)
-    for (filename, _, func), row in pstats.Stats(prof).stats.items():
+    return pstats.Stats(prof).stats
+
+
+def _calls_from_closure(construct, *args):
+    """For each function of the package that the closure run calls, the
+    calls the closure module makes to it directly, by (module, function)."""
+    calls = Counter()
+    for (filename, _, func), row in _profiled(construct, *args).items():
         where = Path(filename)
         if where.parent.name == "partcat":
-            for caller_file, _, _ in row[4]:
-                callers[where.stem, func].add(Path(caller_file).stem)
-    return callers
+            for (caller_file, _, _), caller_row in row[4].items():
+                if Path(caller_file).stem == "closure":
+                    calls[where.stem, func] += caller_row[1]
+    return calls
+
+
+_NC6_CALLS = (16_138, 1_401, 396, 792, 1_078)
 
 
 def test_engine_calls_each_operation_from_closure_module():
-    # The benchmark's traced run counts these calls by their direct caller.
-    for module, prefix, construct, args in (
-        ("ops", "", construct_closure, ([FORK], 4)),
-        ("variants", "colored_", construct_colored_closure, ([], 4)),
-        ("variants", "spatial_", construct_spatial_closure, ([lift_to_levels(FORK, 2)], 4)),
+    # The benchmark's traced run counts these calls by their direct caller
+    # and by the function's name in `ops` or `variants`: the spatial engine
+    # runs the plain kernels of `ops`, the colored one those of `variants`.
+    plain = ("compose", "tensor", "involution", "reflect_vertical", "rotate")
+    colored = tuple(f"colored_{op}" for op in ("compose", "tensor", "involution", "reflect", "rotate"))
+    for module, names, counts, construct, args in (
+        ("ops", plain, _NC6_CALLS, construct_closure, ([FORK, IDENTITY, PAIR], 6)),
+        ("variants", colored, (950, 2_632, 630, 1_260, 2_068), construct_colored_closure, ([], 8)),
+        ("ops", plain, _NC6_CALLS, construct_spatial_closure, ([lift_to_levels(FORK, 2)], 6)),
     ):
-        callers = _closure_callers(construct, *args)
-        for op in ("compose", "tensor", "involution", "rotate"):
-            assert "closure" in callers[module, prefix + op], (module, prefix + op)
-        reflect = "reflect_vertical" if module == "ops" else prefix + "reflect"
-        assert "closure" in callers[module, reflect], (module, reflect)
+        calls = _calls_from_closure(construct, *args)
+        assert {name: calls[module, name] for name in names} == dict(zip(names, counts))
+
+
+def test_closure_wraps_only_the_members_it_keeps():
+    # The engine deduplicates raw members and builds a value once per member
+    # it keeps: at most one wrap per member, and one per base.
+    rows = _profiled(construct_closure, [FORK], 6)
+    wraps = sum(
+        row[1] for (filename, _, func), row in rows.items()
+        if Path(filename).stem == "partition" and func == "_from_raw"
+    )
+    assert wraps <= 1_275 + 2
 
 
 def test_monotone_in_bound():

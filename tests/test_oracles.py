@@ -23,6 +23,7 @@ from partcat.oracles import (
     compose_reference,
     double_factorial,
     enumerate_all,
+    growth_strings,
     has_blocks_of_at_most_two,
     has_even_blocks,
     is_free_unitary,
@@ -67,12 +68,15 @@ def test_enumeration_guard():
         reference_counts(-1)
     with pytest.raises(ValueError):
         bell_number(-1)
+    with pytest.raises(ValueError):
+        list(growth_strings(-1))
     for count in (1.5, "2", None):
         for call in (
             lambda: enumerate_all(count, 1),
             lambda: enumerate_all(1, count),
             lambda: bell_number(count),
             lambda: reference_counts(count),
+            lambda: list(growth_strings(count)),
         ):
             with pytest.raises(ValueError):
                 call()

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -40,8 +41,10 @@ from partcat import (
     tensor,
     unflatten,
 )
-from partcat.oracles import merge_overlapping
+from partcat.ops import _Plain
+from partcat.oracles import compose_via_dfs, merge_overlapping
 from partcat.textio import parse_spatial, render_spatial, spatial_from_json
+from partcat.variants import _Colored
 
 from helpers import random_colored, random_composable_pair, random_partition, random_spatial
 
@@ -347,20 +350,37 @@ def test_spatial_m1_matches_plain_ops():
             assert spatial_compose(sp, sq).flattened == compose(p, q)
 
 
+def _reflected_by_levels(sp):
+    """Built through unflatten/flatten: each point moves to its mirror
+    position in its own row and keeps its level."""
+    k, l, m = sp.upper_points, sp.lower_points, sp.levels
+
+    def mirror(i):
+        return k + 1 - i if i <= k else 2 * k + l + 1 - i
+
+    blocks = [[(mirror(i), j) for i, j in block] for block in unflatten(sp)]
+    return SpatialPartition(m, flatten(k, l, m, blocks))
+
+
+def _top_left_by_levels(sp):
+    """Built through unflatten/flatten: the first upper point becomes the
+    first lower point on every level, and the other points keep their
+    places in the point order."""
+    k, l, m = sp.upper_points, sp.lower_points, sp.levels
+
+    def move(i):
+        return k if i == 1 else i - 1 if i <= k else i
+
+    blocks = [[(move(i), j) for i, j in block] for block in unflatten(sp)]
+    return SpatialPartition(m, flatten(k - 1, l + 1, m, blocks))
+
+
 def test_spatial_reflect_mirrors_columns_keeping_levels():
-    # Built through unflatten/flatten: each point moves to its mirror
-    # position in its own row and keeps its level.
     assert render_spatial(spatial_reflect(parse_spatial("m=2;1,2,2,3|"))) == "m=2;1,2,3,1|"
     rng = random.Random(12)
     for _ in range(300):
         sp = random_spatial(rng, levels=rng.randint(2, 4))
-        k, l, m = sp.upper_points, sp.lower_points, sp.levels
-
-        def mirror(i):
-            return k + 1 - i if i <= k else 2 * k + l + 1 - i
-
-        blocks = [[(mirror(i), j) for i, j in block] for block in unflatten(sp)]
-        assert spatial_reflect(sp) == SpatialPartition(m, flatten(k, l, m, blocks))
+        assert spatial_reflect(sp) == _reflected_by_levels(sp)
 
 
 def test_spatial_rotate_moves_whole_columns():
@@ -389,6 +409,51 @@ def test_spatial_rotate_moves_whole_columns():
         spatial_rotate(sp, "sideways")
     with pytest.raises(ValueError):
         spatial_rotate(lift_to_levels(Partition([], []), 2), "sideways")
+
+
+def _kernel_cases(rng):
+    """(wrap, kernels, width, public operations, p, q) for each variant: a
+    random value p and a random q whose lower row fits p's upper row."""
+    p, q = random_composable_pair(rng, 10)
+    plain = (involution, reflect_vertical, rotate, tensor, compose)
+    yield Partition._from_raw, _Plain, 1, plain, p, q
+    colors = [rng.choice((WHITE, BLACK)) for _ in range(p.size + q.upper_count)]
+    cp = ColoredPartition(p, colors[: p.upper_count], colors[p.upper_count : p.size])
+    cq = ColoredPartition(q, colors[p.size :], cp.upper_colors)
+    colored = (colored_involution, colored_reflect, colored_rotate, colored_tensor, colored_compose)
+    yield ColoredPartition._from_raw, _Colored, 1, colored, cp, cq
+    m = rng.choice((2, 3))
+    sp = random_spatial(rng, levels=m, max_points=5)
+    sq = random_spatial(rng, levels=m, k=rng.randint(0, 3), l=sp.upper_points)
+    spatial = (spatial_involution, spatial_reflect, spatial_rotate, spatial_tensor, spatial_compose)
+    yield partial(SpatialPartition._from_raw, m), _Plain, m, spatial, sp, sq
+
+
+def test_kernels_match_public_operations():
+    # The closure engine runs the kernels on raw members and wraps only the
+    # members it keeps. Wrapped, each kernel result is the public operation's
+    # result; compose also matches a search that shares no code with it, and
+    # the spatial moves match a point-by-point construction per level.
+    rng = random.Random(16)
+    for _ in range(300):
+        for wrap, kernels, width, public, p, q in _kernel_cases(rng):
+            inv, refl, rot, tens, comp = public
+            x, y = p._raw, q._raw
+            assert wrap(*kernels.involution(x)) == inv(p)
+            assert wrap(*kernels.reflect_vertical(x, width)) == refl(p)
+            for corner in CORNERS:
+                if p.upper_points if corner.startswith("top") else p.lower_points:
+                    assert wrap(*kernels.rotate(x, corner, width)) == rot(p, corner)
+            assert wrap(*kernels.tensor(x, y)) == tens(p, q)
+            assert wrap(*kernels.tensor(y, x)) == tens(q, p)
+            assert wrap(*kernels.compose(x, y)) == comp(p, q)
+            assert Partition._from_raw(*_Plain.compose(x, y)) == compose_via_dfs(
+                Partition._from_raw(*x[:2]), Partition._from_raw(*y[:2])
+            )
+            if width > 1:
+                assert wrap(*kernels.reflect_vertical(x, width)) == _reflected_by_levels(p)
+                if p.upper_points:
+                    assert wrap(*kernels.rotate(x, "top-left", width)) == _top_left_by_levels(p)
 
 
 # ------------------------------------------- block-level functoriality
