@@ -94,14 +94,16 @@ first. Each member has a split record, the set splits[z] of the upper
 point counts i at which z splits into a tensor of two members, each with
 an upper point; z's lower row splits as its I-image's upper row does. The
 engine also flags the bases of shape (1, 1), the identity bases, with a
-column flag. Every evaluated z = tensor(y, q) writes its record to the
-whole orbit of z at once, following R z == tensor(R q, R y) and
-I z == tensor(I y, I q):
+column flag, and has a one-row flag per member. Every evaluated
+z = tensor(y, q) writes its record to the whole orbit of z at once,
+following R z == tensor(R q, R y) and I z == tensor(I y, I q):
 
 - when y and q both have upper points, bit y.upper_points to z and bit
-  q.upper_points to R z;
+  q.upper_points to R z; else, when both have points, the one-row flag to
+  z and R z;
 - when both have lower points, bit y.lower_points to I z and bit
-  q.lower_points to RI z;
+  q.lower_points to RI z; else, when both have points, the one-row flag to
+  I z and RI z;
 - when y or q is an identity base, the column flag to all four.
 
 A compose pair (p bottom, q top) is skipped when
@@ -109,12 +111,15 @@ A compose pair (p bottom, q top) is skipped when
 1. the interface is empty, so a member with no upper points is never a
    bottom and one with no lower points never a top;
 2. p or q has the column flag: flagged members are never partners;
-3. splits[p] & splits[I q] != 0.
+3. splits[p] & splits[I q] != 0;
+4. p or I q has the one-row flag.
 
 This is exact too. Every record holds in the final member set M: bit i of
 splits[z] means z == tensor(z1, z2) with z1, z2 in M, z1 with i upper
-points and z2 with at least one; the flag means z is an identity base e,
-or tensor(e, w) or tensor(w, e) with w in M. Records come from evaluated
+points and z2 with at least one; the column flag means z is an identity
+base e, or tensor(e, w) or tensor(w, e) with w in M; the one-row flag
+means z == tensor(w, l) or tensor(l, w) with w, l in M, l with points but
+none upper. Records come from evaluated
 tensors of members, and each write follows the two laws above, with
 R e == I e == e, inside M, which is closed under R and I. Now show, by
 induction on p.size + q.size, that compose(p, q) is in M for every
@@ -136,6 +141,13 @@ two orbits was processed, and records only grow:
    interface position, compose(p, q) == tensor(compose(p1, q1),
    compose(p2, q2)). Both pairs are smaller and their results are no
    larger than compose(p, q), so both are in M, and so is their tensor.
+4. The points of l take no part in the composite: p == tensor(w, l) gives
+   compose(p, q) == tensor(compose(w, q), l), and the pair (w, q) is
+   smaller, with a result no larger, so it is in M, and so is the tensor.
+   p == tensor(l, w) is alike. If I q has the flag, q == tensor(w, u) or
+   tensor(u, w) with u in M, with points but none lower, and
+   compose(p, q) == tensor(compose(p, w), u) or its mirror. l and u must
+   have points: tensor(e, w) == w for the empty partition e.
 
 The other pairs of the orbit follow by R and I. Colored identities have
 one color and spatial ones are lifted, so the identity law holds for every
@@ -252,10 +264,12 @@ def _saturate(bases, generators, bound, kernels, width):
     # and RI images; bit i of splits says the member is a tensor of two
     # members, the left one with i upper points and each with one at least
     # (the lower-row splits are those of the I-image); column says it is an
-    # identity base, or a tensor of one and a member.
+    # identity base, or a tensor of one and a member; one_row says it is a
+    # tensor of two nonempty members, one with no upper points.
     mates = []
     splits = []
     column = []
+    one_row = []
     involution = kernels.involution
     reflect = kernels.reflect_vertical
 
@@ -271,6 +285,7 @@ def _saturate(bases, generators, bound, kernels, width):
                     mates.append((i, frame[pos ^ 1], frame[pos ^ 2], frame[pos ^ 3]))
                     splits.append(0)
                     column.append(False)
+                    one_row.append(False)
             stacks[len(x[1])].append(orbit)
 
     identity = set()  # indices of the identity bases
@@ -326,15 +341,20 @@ def _saturate(bases, generators, bound, kernels, width):
                         if yu and qu:
                             splits[k] |= 1 << yu
                             splits[rk] |= 1 << qu
+                        elif sx and s:
+                            one_row[k] = one_row[rk] = True
                         if yl and ql:
                             splits[ik] |= 1 << yl
                             splits[rik] |= 1 << ql
+                        elif sx and s:
+                            one_row[ik] = one_row[rik] = True
                         if beside or j in identity:
                             column[k] = column[rk] = column[ik] = column[rik] = True
 
         # Compose: R-classes; y is the bottom. A member beside an identity
-        # column is never a partner, nor one whose interface is empty, and a
-        # pair whose interface splits alike on both sides is not composed.
+        # column is never a partner, nor one whose interface is empty, nor a
+        # tensor with a factor that has points only away from the interface;
+        # and a pair whose interface splits alike on both sides is not composed.
         if column[a]:
             continue
         fixed = ra == a  # R fixes x, and so I x
@@ -343,11 +363,11 @@ def _saturate(bases, generators, bound, kernels, width):
             if first is not None:
                 if yu < sx:
                     as_top[keys(y)[1], yu].append((y, mates[i][2], first))
-            elif yu:
+            elif yu and not one_row[i]:
                 key, mask = keys(y)[0], splits[i]
                 for tu in range(bound - sx + yu + 1):
                     for q, j, q_first in as_top.get((key, tu), ()):
-                        if (q_first or not fixed) and not mask & splits[j]:
+                        if (q_first or not fixed) and not (mask & splits[j] or one_row[j]):
                             z = compose(y, q)
                             if z not in members:  # most are known; skip the call
                                 add(z)

@@ -422,11 +422,14 @@ def _compose_cover(members, bound, kernels, width, bases):
     """A test for raw compose pairs (p bottom, q top) whose result follows
     from smaller pairs, built from tensor over all member pairs: an empty
     interface, an identity base (a base with one column in each row) beside
-    a member on either side, or an interface that both sides split at the
+    a member on either side, a bottom that is a tensor of two nonempty
+    members, one with no upper points, a top that is one with a factor
+    with no lower points, or an interface that both sides split at the
     same position into members."""
     upper_splits, lower_splits = defaultdict(set), defaultdict(set)
     identities = {e._raw for e in bases if _shape(e._raw) == (width, width)}
     beside_identity = identities & members
+    upper_one_row, lower_one_row = set(), set()
     for p in members:
         for q in members:
             if len(p[1]) + len(q[1]) <= bound:
@@ -436,6 +439,11 @@ def _compose_cover(members, bound, kernels, width, bases):
                     upper_splits[z].add(pu)
                 if pl and ql:
                     lower_splits[z].add(pl)
+                if p[1] and q[1]:
+                    if not (pu and qu):
+                        upper_one_row.add(z)
+                    if not (pl and ql):
+                        lower_one_row.add(z)
                 if p in identities or q in identities:
                     beside_identity.add(z)
 
@@ -444,6 +452,8 @@ def _compose_cover(members, bound, kernels, width, bases):
             not p[0]
             or p in beside_identity
             or q in beside_identity
+            or p in upper_one_row
+            or q in lower_one_row
             or bool(upper_splits[p] & lower_splits[q])
         )
 
@@ -456,29 +466,35 @@ def _compose_cover(members, bound, kernels, width, bases):
         # {fork, identity, pair} @6: the 924 run.
         pytest.param(
             _Plain, [IDENTITY, PAIR], [FORK, IDENTITY, PAIR], 6,
-            (1_275, 16_138, 1_401, 396, 792, 1_078), id="nc6",
+            (1_275, 6_194, 1_401, 396, 792, 1_078), id="nc6",
         ),
         pytest.param(
             _Plain, [IDENTITY, PAIR], [FORK, CROSSING], 6,
-            (1_837, 43_945, 1_769, 566, 1_132, 1_558), id="all6",
+            (1_837, 20_995, 1_769, 566, 1_132, 1_558), id="all6",
         ),
         pytest.param(
             _Plain, [IDENTITY, PAIR], [CROSSING], 8,
-            (1_069, 11_079, 808, 337, 674, 944), id="pair8",
+            (1_069, 7_976, 808, 337, 674, 944), id="pair8",
         ),
         pytest.param(
             _Colored, colored_base_partitions(), [], 8,
-            (2_343, 950, 2_632, 630, 1_260, 2_068), id="col8",
+            (2_343, 215, 2_632, 630, 1_260, 2_068), id="col8",
         ),
         pytest.param(
             _Plain, spatial_base_partitions(2), [lift_to_levels(FORK, 2)], 6,
-            (1_275, 16_138, 1_401, 396, 792, 1_078), id="sp6",
+            (1_275, 6_194, 1_401, 396, 792, 1_078), id="sp6",
+        ),
+        # {fork} @7: a larger run, where the one-row factor law saves most.
+        pytest.param(
+            _Plain, [IDENTITY, PAIR], [FORK], 7,
+            (4_707, 64_369, 5_497, 1_324, 2_648, 4_081), id="fork7",
         ),
     ],
 )
 def test_engine_work_on_the_generate_jobs(kernels, bases, generators, bound, work):
-    # The five jobs of the `generate` benchmark as it runs them: one pair
-    # per orbit, less the compose pairs the tensor and identity laws give.
+    # The five jobs of the `generate` benchmark as it runs them, and one
+    # larger run: one pair per orbit, less the compose pairs the tensor and
+    # identity laws give.
     # The bucketed partner lists may skip only over-bound pairs, never an
     # evaluated one. One involution and two reflections per orbit visit each
     # orbit once. Work is members / compose / tensor / involution / reflect /
@@ -500,6 +516,8 @@ def test_one_evaluation_per_orbit():
         (_Plain, [IDENTITY, PAIR], [FORK], 5),
         (_Plain, [IDENTITY, PAIR], [CROSSING, Partition([1], [1, 2])], 4),
         (_Plain, [IDENTITY, PAIR], [FORK, Partition([1], [2])], 5),
+        (_Plain, [IDENTITY, PAIR], [Partition([], [1, 2])], 6),
+        (_Plain, [IDENTITY, PAIR], [Partition([1], [2])], 6),
         (_Colored, colored_base_partitions(), [], 5),
         (_Plain, spatial_base_partitions(2), [lift_to_levels(FORK, 2)], 4),
     ):
@@ -542,7 +560,7 @@ def _calls_from_closure(construct, *args):
     return calls
 
 
-_NC6_CALLS = (16_138, 1_401, 396, 792, 1_078)
+_NC6_CALLS = (6_194, 1_401, 396, 792, 1_078)
 
 
 def test_engine_calls_each_operation_from_closure_module():
@@ -553,7 +571,7 @@ def test_engine_calls_each_operation_from_closure_module():
     colored = tuple(f"colored_{op}" for op in ("compose", "tensor", "involution", "reflect", "rotate"))
     for module, names, counts, construct, args in (
         ("ops", plain, _NC6_CALLS, construct_closure, ([FORK, IDENTITY, PAIR], 6)),
-        ("variants", colored, (950, 2_632, 630, 1_260, 2_068), construct_colored_closure, ([], 8)),
+        ("variants", colored, (215, 2_632, 630, 1_260, 2_068), construct_colored_closure, ([], 8)),
         ("ops", plain, _NC6_CALLS, construct_spatial_closure, ([lift_to_levels(FORK, 2)], 6)),
     ):
         calls = _calls_from_closure(construct, *args)

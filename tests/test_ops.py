@@ -113,6 +113,27 @@ def test_compose_agreement_random():
         assert compose_via_dfs(p, q) == expected
 
 
+def test_one_row_factor_law():
+    # A factor with points in one row only passes through a composite:
+    # compose(tensor(W, L), q) == tensor(compose(W, q), L) when L has no
+    # upper points, and compose(p, tensor(W, U)) == tensor(compose(p, W), U)
+    # when U has no lower points, with the mirrored tensors alike. The
+    # closure engine skips compose pairs by this law.
+    rng = random.Random(17)
+    for _ in range(300):
+        bottom, top = random_composable_pair(rng, max_total=12)
+        result = compose(bottom, top)
+        lower_only = Partition([], random_labels(rng, rng.randint(1, 3)))
+        upper_only = Partition(random_labels(rng, rng.randint(1, 3)), [])
+        for p, q, expected in (
+            (tensor(bottom, lower_only), top, tensor(result, lower_only)),
+            (tensor(lower_only, bottom), top, tensor(lower_only, result)),
+            (bottom, tensor(top, upper_only), tensor(result, upper_only)),
+            (bottom, tensor(upper_only, top), tensor(upper_only, result)),
+        ):
+            assert compose(p, q) == compose_via_dfs(p, q) == expected
+
+
 def _composable_pair(rng, ell, k, m, style):
     """(p, q) with ell interface points, k upper points on q and m lower
     points on p; labels random, all distinct, or one block per operand."""

@@ -46,7 +46,13 @@ from partcat.oracles import compose_via_dfs, merge_overlapping
 from partcat.textio import parse_spatial, render_spatial, spatial_from_json
 from partcat.variants import _Colored
 
-from helpers import random_colored, random_composable_pair, random_partition, random_spatial
+from helpers import (
+    random_colored,
+    random_composable_pair,
+    random_labels,
+    random_partition,
+    random_spatial,
+)
 
 WID = ColoredPartition(IDENTITY, (WHITE,), (WHITE,))
 BID = ColoredPartition(IDENTITY, (BLACK,), (BLACK,))
@@ -454,6 +460,37 @@ def test_kernels_match_public_operations():
                 assert wrap(*kernels.reflect_vertical(x, width)) == _reflected_by_levels(p)
                 if p.upper_points:
                     assert wrap(*kernels.rotate(x, "top-left", width)) == _top_left_by_levels(p)
+
+
+def _one_row(rng, like, upper):
+    """A random nonempty value of the variant of `like`, colored or spatial
+    at its level count, with points in the upper row only if `upper`, else
+    in the lower row only."""
+    n = rng.randint(1, 3)
+    k, l = (n, 0) if upper else (0, n)
+    if isinstance(like, SpatialPartition):
+        return random_spatial(rng, levels=like.levels, k=k, l=l)
+    labels = random_labels(rng, n)
+    colors = [rng.choice((WHITE, BLACK)) for _ in range(n)]
+    return ColoredPartition(Partition(labels[:k], labels[k:]), colors[:k], colors[k:])
+
+
+def test_one_row_factor_law_on_colored_and_spatial_values():
+    # The law the closure engine skips compose pairs by, on the variants it
+    # runs: a one-row tensor factor passes through a composite unchanged.
+    # tests/test_ops.py checks it on plain values.
+    rng = random.Random(17)
+    for _ in range(300):
+        for _, _, _, public, p, q in _kernel_cases(rng):
+            if type(p) is Partition:
+                continue
+            tens, comp = public[3:]
+            lower, upper = _one_row(rng, p, False), _one_row(rng, p, True)
+            result = comp(p, q)
+            assert comp(tens(p, lower), q) == tens(result, lower)
+            assert comp(tens(lower, p), q) == tens(lower, result)
+            assert comp(p, tens(q, upper)) == tens(result, upper)
+            assert comp(p, tens(upper, q)) == tens(upper, result)
 
 
 # ------------------------------------------- block-level functoriality
