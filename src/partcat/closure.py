@@ -39,7 +39,7 @@ for every variant, and R, I are commuting involutions. So the results of
 the four pairs in an orbit are the images under 1, R, I and RI of one
 result, which the unary step adds, and R and I preserve sizes, so every
 pair of an orbit passes or fails the bound test together. The reference
-engine without this quotient is :func:`partcat.oracles.saturate_reference`.
+engine without this quotient is `saturate_reference` in `tests/oracles.py`.
 
 Each member orbit {x, R x, I x, RI x} enters the worklist whole, as one
 entry, when its first member is found; the engine processes it once, when
@@ -440,6 +440,8 @@ def construct_spatial_closure(generators, bound: int, levels: int | None = None)
     structure, not flattened points.
     """
     generators = _checked(generators, SpatialPartition)
+    if levels is not None:
+        check_count(levels, 1, "levels")
     for g in generators:
         if levels is None:
             levels = g.levels

@@ -15,7 +15,6 @@ from partcat import (
     Partition,
     canonical_labels,
     compose,
-    compose_reference,
     compose_via_dfs,
     construct_closure,
     flatten,
@@ -39,6 +38,7 @@ from helpers import (
     random_spatial,
     random_spatial_blocks,
 )
+from oracles import compose_reference
 from test_variants import _blocks_compose, _blocks_involution, _blocks_tensor
 
 

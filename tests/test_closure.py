@@ -45,19 +45,17 @@ from partcat import (
 )
 from partcat.closure import _saturate
 from partcat.ops import _Plain
-from partcat.oracles import (
-    enumerate_all,
-    has_blocks_of_at_most_two,
-    has_even_blocks,
-    is_free_unitary,
-    is_noncrossing,
-    is_pair_partition,
-    saturate_reference,
-)
+from partcat.oracles import enumerate_all, is_noncrossing, is_pair_partition
 from partcat.variants import _Colored
 
 from conftest import CROSSING, FORK
 from helpers import random_colored, random_partition, random_spatial
+from oracles import (
+    has_blocks_of_at_most_two,
+    has_even_blocks,
+    is_free_unitary,
+    saturate_reference,
+)
 
 
 class _Operations(NamedTuple):
@@ -662,6 +660,14 @@ def test_spatial_closure_needs_levels():
         construct_spatial_closure(
             [lift_to_levels(IDENTITY, 2), lift_to_levels(IDENTITY, 3)], 4
         )
+
+
+def test_spatial_closure_checks_levels_before_the_generators():
+    # A wrong `levels` is named as such, not reported as a generator whose
+    # level count differs from it.
+    for levels in ("2", True, 2.0, 0):
+        with pytest.raises(ValueError, match="levels must be a positive integer"):
+            construct_spatial_closure([lift_to_levels(IDENTITY, 2)], 4, levels)
 
 
 def test_spatial_closure_m1_equals_plain():

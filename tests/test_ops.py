@@ -9,7 +9,6 @@ from partcat import (
     Partition,
     SizeMismatchError,
     compose,
-    compose_reference,
     compose_via_dfs,
     involution,
     reflect_vertical,
@@ -20,6 +19,7 @@ from partcat import ops
 from partcat.oracles import enumerate_all
 
 from helpers import random_composable_pair, random_labels, random_partition
+from oracles import compose_reference
 
 
 def test_involution_examples():

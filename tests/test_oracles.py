@@ -17,23 +17,20 @@ from partcat import (
     rotate,
     tensor,
 )
-from partcat.oracles import (
+from partcat.oracles import enumerate_all, growth_strings, is_noncrossing, is_pair_partition
+
+from conftest import CROSSING, FORK
+from oracles import (
     bell_number,
     catalan_number,
     compose_reference,
     double_factorial,
-    enumerate_all,
-    growth_strings,
     has_blocks_of_at_most_two,
     has_even_blocks,
     is_free_unitary,
-    is_noncrossing,
-    is_pair_partition,
     merge_overlapping,
     reference_counts,
 )
-
-from conftest import CROSSING, FORK
 
 
 def test_bell_numbers():

@@ -5,6 +5,7 @@ import pytest
 from partcat import IDENTITY, PAIR, Partition, canonical_labels, kernel_partition
 
 from helpers import random_labels, random_partition
+from oracles import canonical_labels_reference
 
 
 def bijection_related(a, b):
@@ -134,7 +135,6 @@ def _relabel_outcome(relabel, labels):
 
 
 def test_canonical_labels_matches_reference_across_the_flat_cut():
-    from partcat.oracles import canonical_labels_reference
     from partcat.partition import _FLAT_RELABEL
 
     rng = random.Random(9)

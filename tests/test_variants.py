@@ -42,7 +42,7 @@ from partcat import (
     unflatten,
 )
 from partcat.ops import _Plain
-from partcat.oracles import compose_via_dfs, merge_overlapping
+from partcat.oracles import compose_via_dfs
 from partcat.textio import parse_spatial, render_spatial, spatial_from_json
 from partcat.variants import _Colored
 
@@ -53,6 +53,7 @@ from helpers import (
     random_partition,
     random_spatial,
 )
+from oracles import merge_overlapping
 
 WID = ColoredPartition(IDENTITY, (WHITE,), (WHITE,))
 BID = ColoredPartition(IDENTITY, (BLACK,), (BLACK,))
