@@ -183,32 +183,37 @@ class ClosureSet:
     no procedure can decide full membership in general.
     """
 
-    __slots__ = ("bound", "generators", "members", "saturated", "_type", "_by_shape")
+    __slots__ = ("_bound", "_generators", "_members", "_type", "_by_shape")
 
     def __init__(self, bound, generators, members, value_type):
-        self.bound = bound
-        self.generators = tuple(generators)
-        self.members = frozenset(members)
-        self.saturated = True
+        self._bound = bound
+        self._generators = tuple(generators)
+        self._members = frozenset(members)
         self._type = value_type
         self._by_shape = None  # (upper points, lower points) -> members, built on first use
 
+    # Read-only, so the queries' bound checks always hold for the member set.
+    bound = property(attrgetter("_bound"))
+    generators = property(attrgetter("_generators"))
+    members = property(attrgetter("_members"))
+    saturated = property(lambda c: True, doc="Whether the run reached its fixpoint; always so.")
+
     def __len__(self):
-        return len(self.members)
+        return len(self._members)
 
     def __iter__(self):
-        return iter(self.members)
+        return iter(self._members)
 
     def __repr__(self):
         return (
-            f"<ClosureSet {_KIND[self._type]}: {len(self.members)} members, "
-            f"bound={self.bound}, generators={len(self.generators)}>"
+            f"<ClosureSet {_KIND[self._type]}: {len(self._members)} members, "
+            f"bound={self._bound}, generators={len(self._generators)}>"
         )
 
     def _shapes(self):
         if self._by_shape is None:
             by_shape = defaultdict(list)
-            for x in self.members:
+            for x in self._members:
                 by_shape[x.upper_points, x.lower_points].append(x)
             self._by_shape = {shape: frozenset(xs) for shape, xs in by_shape.items()}
         return self._by_shape
@@ -216,16 +221,16 @@ class ClosureSet:
     def members_of_size(self, size: int):
         """All members with the given total number of points."""
         check_count(size, 0, "size")
-        if size > self.bound:
-            raise BoundError(f"size {size} exceeds the bound {self.bound}")
+        if size > self._bound:
+            raise BoundError(f"size {size} exceeds the bound {self._bound}")
         return {x for (k, l), xs in self._shapes().items() if k + l == size for x in xs}
 
     def members_of_shape(self, k: int, l: int):
         """All members with k upper and l lower points."""
         check_count(k, 0, "upper point count")
         check_count(l, 0, "lower point count")
-        if k + l > self.bound:
-            raise BoundError(f"shape ({k}, {l}) exceeds the bound {self.bound}")
+        if k + l > self._bound:
+            raise BoundError(f"shape ({k}, {l}) exceeds the bound {self._bound}")
         return set(self._shapes().get((k, l), ()))
 
     def contains_within_bound(self, p) -> bool:
@@ -235,15 +240,15 @@ class ClosureSet:
         does not rule out membership in the generated category.
         """
         check_type(p, self._type, "the queried value", VariantMismatchError)
-        if p.size > self.bound:
+        if p.size > self._bound:
             raise BoundError(
-                f"partition of size {p.size} exceeds the bound {self.bound}"
+                f"partition of size {p.size} exceeds the bound {self._bound}"
             )
-        return p in self.members
+        return p in self._members
 
     def sorted_members(self) -> list:
         """Members in the deterministic output order (size, shape, blocks)."""
-        return sorted(self.members, key=_sort_key)
+        return sorted(self._members, key=_sort_key)
 
 
 def _saturate(bases, generators, bound, kernels, width):
@@ -406,7 +411,7 @@ def _construct(generators, bound, value_type, bases, kernels, wrap, width=1):
             raise BoundError(f"generator of size {g.size} exceeds the bound {bound}")
     raw = _saturate([b._raw for b in bases], [g._raw for g in generators], bound * width,
                     kernels, width)
-    return ClosureSet(bound, generators, [wrap(*x) for x in raw], value_type)
+    return ClosureSet(bound, generators, map(wrap, raw), value_type)
 
 
 def construct_closure(generators: Iterable[Partition], bound: int) -> ClosureSet:

@@ -122,14 +122,14 @@ def check_interface(upper_points: int, lower_points: int):
 def involution(p: Partition) -> Partition:
     """Swap the upper and lower rows (reflection along the horizontal axis)."""
     check_type(p, Partition, "an operand", VariantMismatchError)
-    return Partition._from_raw(*_Plain.involution(p._raw))
+    return Partition._from_raw(_Plain.involution(p._raw))
 
 
 def tensor(p: Partition, q: Partition) -> Partition:
     """Concatenate horizontally: upper rows side by side, then lower rows."""
     check_type(p, Partition, "an operand", VariantMismatchError)
     check_type(q, Partition, "an operand", VariantMismatchError)
-    return Partition._from_raw(*_Plain.tensor(p._raw, q._raw))
+    return Partition._from_raw(_Plain.tensor(p._raw, q._raw))
 
 
 def compose(p: Partition, q: Partition) -> Partition:
@@ -145,7 +145,7 @@ def compose(p: Partition, q: Partition) -> Partition:
     check_type(p, Partition, "an operand", VariantMismatchError)
     check_type(q, Partition, "an operand", VariantMismatchError)
     check_interface(p.upper_count, q.lower_count)
-    return Partition._from_raw(*_Plain.compose(p._raw, q._raw))
+    return Partition._from_raw(_Plain.compose(p._raw, q._raw))
 
 
 def corner_move(items, k: int, corner: str, width: int):
@@ -191,10 +191,10 @@ def rotate(p: Partition, corner: str) -> Partition:
     inverse moves. Block membership of the moved point is preserved.
     """
     check_type(p, Partition, "an operand", VariantMismatchError)
-    return Partition._from_raw(*_Plain.rotate(p._raw, corner, 1))
+    return Partition._from_raw(_Plain.rotate(p._raw, corner, 1))
 
 
 def reflect_vertical(p: Partition) -> Partition:
     """Reverse both rows (reflection along the vertical axis)."""
     check_type(p, Partition, "an operand", VariantMismatchError)
-    return Partition._from_raw(*_Plain.reflect_vertical(p._raw, 1))
+    return Partition._from_raw(_Plain.reflect_vertical(p._raw, 1))

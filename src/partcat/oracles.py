@@ -51,7 +51,7 @@ def enumerate_all(k: int, l: int) -> set[Partition]:
         raise EnumerationLimitError(
             f"refusing to enumerate partitions on {n} points (limit {ENUMERATION_LIMIT})"
         )
-    return {Partition._from_raw(k, g) for g in growth_strings(n)}
+    return {Partition._from_raw((k, g)) for g in growth_strings(n)}
 
 
 def is_pair_partition(p: Partition) -> bool:
@@ -136,4 +136,4 @@ def compose_via_dfs(p: Partition, q: Partition) -> Partition:
     rep = components_by_dfs(vertices, edges)
     out = [rep[v] for v in b[:k]]
     out += [rep[v + t] for v in a[ell:]]
-    return Partition._from_raw(k, canonical_labels(out))
+    return Partition._from_raw((k, canonical_labels(out)))

@@ -1,18 +1,21 @@
 """Two-row set partitions in canonical form.
 
 A partition has k upper points and l lower points, decomposed into blocks.
-It is stored as the tuple of counts plus a block-label vector of length
-k + l (upper row first, then lower row): two points belong to the same
-block exactly when their labels are equal.
+It is stored as its raw member (k, blocks): the upper point count and a
+block-label vector of length k + l (upper row first, then lower row); two
+points belong to the same block exactly when their labels are equal.
 
 Every public constructor relabels to the canonical form, where labels read
 1, 2, 3, ... in first-occurrence order. Equal canonical form is therefore
 the same thing as partition equivalence, so values can be compared with
 `==` and stored in sets and dicts directly.
-"""
+
+The private base `_Value` holds the raw member and its hash for this class
+and for the colored and spatial ones of `partcat.variants`. Every public
+field is a read-only view of the raw member, so no assignment can break the
+canonical form, and `_from_raw` is the one path from a raw member to a value."""
 
 from collections.abc import Iterable, Sequence
-from operator import attrgetter
 
 from .errors import check_iterable
 
@@ -67,7 +70,40 @@ def canonical_labels(labels: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Partition:
+class _Value:
+    """The state of every value class: the raw member that the operation
+    kernels take, and its hash. Equal values are those of one class with
+    equal raw members; every public field is a read-only view of `_raw`."""
+
+    __slots__ = ("_raw", "_hash")
+
+    @classmethod
+    def _from_raw(cls, raw):
+        # Internal: the value of a raw member, trusted as given. Its block
+        # vector must already be canonical: `ops.compose` sizes its scratch
+        # space on that, since no label then exceeds the number of points.
+        # A colored member's color rows must be valid and fit its rows.
+        p = object.__new__(cls)
+        p._raw = raw
+        p._hash = hash(raw)
+        return p
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._raw == other._raw
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt through `_from_raw`, so the hash is that of the loading
+        # interpreter: a colored value's hash covers str colors, which vary
+        # with PYTHONHASHSEED.
+        return self._from_raw, (self._raw,)
+
+
+class Partition(_Value):
     """A two-row set partition, canonical and immutable.
 
     Built from two label sequences, one per row. Input labels may be any
@@ -77,7 +113,7 @@ class Partition:
     Partition([1, 2], [2, 3])
     """
 
-    __slots__ = ("upper_count", "lower_count", "blocks", "_hash")
+    __slots__ = ()
 
     def __init__(self, upper: Sequence[int] = (), lower: Sequence[int] = ()):
         upper = tuple(check_iterable(upper, "the upper row"))
@@ -88,58 +124,23 @@ class Partition:
                 # test first keeps the common case to one comparison.
                 if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)) or x < 0:
                     raise ValueError(f"labels must be non-negative integers, got {x!r}")
-        self.upper_count = len(upper)
-        self.lower_count = len(lower)
-        self.blocks = canonical_labels(upper + lower)
-        self._hash = hash((self.upper_count, self.lower_count, self.blocks))
+        self._raw = raw = (len(upper), canonical_labels(upper + lower))
+        self._hash = hash(raw)
 
-    @classmethod
-    def _from_raw(cls, upper_count: int, blocks: tuple[int, ...]) -> "Partition":
-        # Internal: the value of a raw member, trusting `blocks` as given, so
-        # they must already be canonical. `ops.compose` sizes its scratch
-        # space on that: no label exceeds the number of points.
-        p = object.__new__(cls)
-        p.upper_count = upper_count
-        p.lower_count = lower_count = len(blocks) - upper_count
-        p.blocks = blocks
-        p._hash = hash((upper_count, lower_count, blocks))
-        return p
-
-    @property
-    def upper(self) -> tuple[int, ...]:
-        """Labels of the upper row."""
-        return self.blocks[: self.upper_count]
-
-    @property
-    def lower(self) -> tuple[int, ...]:
-        """Labels of the lower row."""
-        return self.blocks[self.upper_count :]
-
-    @property
-    def size(self) -> int:
-        """Total number of points (upper plus lower)."""
-        return self.upper_count + self.lower_count
-
-    @property
-    def sort_key(self):
-        """Deterministic ordering used for emitted partition lists."""
-        return (self.size, self.upper_count, self.blocks)
-
-    @property
-    def num_blocks(self) -> int:
-        return len(set(self.blocks))
-
-    def __eq__(self, other):
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return (
-            self.upper_count == other.upper_count
-            and self.lower_count == other.lower_count
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return self._hash
+    # Views of the raw member (k, blocks). The value protocol's point counts,
+    # and the compose interface ((p, q) composes when q.lower_key ==
+    # p.upper_key), are the row counts themselves.
+    upper_count = upper_points = upper_key = property(
+        lambda p: p._raw[0], doc="Number of upper points.")
+    lower_count = lower_points = lower_key = property(
+        lambda p: len(p._raw[1]) - p._raw[0], doc="Number of lower points.")
+    blocks = property(lambda p: p._raw[1], doc="Canonical labels, upper row first.")
+    upper = property(lambda p: p._raw[1][: p._raw[0]], doc="Labels of the upper row.")
+    lower = property(lambda p: p._raw[1][p._raw[0] :], doc="Labels of the lower row.")
+    size = property(lambda p: len(p._raw[1]), doc="Total number of points (upper plus lower).")
+    num_blocks = property(lambda p: len(set(p._raw[1])))
+    sort_key = property(lambda p: (len(p._raw[1]),) + p._raw,
+                        doc="Deterministic ordering used for emitted partition lists.")
 
     def __repr__(self):
         return f"Partition({list(self.upper)}, {list(self.lower)})"
@@ -149,13 +150,6 @@ class Partition:
         lo = ",".join(map(str, self.lower))
         return f"{up}|{lo}"
 
-
-# The value protocol's point counts, and the compose interface ((p, q)
-# composes when q.lower_key == p.upper_key), are the count slots themselves.
-Partition.upper_points = Partition.upper_key = Partition.upper_count
-Partition.lower_points = Partition.lower_key = Partition.lower_count
-# The raw member the operation kernels take: (upper_count, blocks).
-Partition._raw = property(attrgetter("upper_count", "blocks"))
 
 #: The one-upper/one-lower single-block partition.
 IDENTITY = Partition((1,), (1,))

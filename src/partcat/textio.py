@@ -94,7 +94,7 @@ def _parse_rows(text: str, start: int) -> Partition:
     lower = _parse_labels(text, bar + 1, len(text))
     # The labels are ints read from ASCII digits, so none is negative and
     # the constructor's check would pass.
-    return Partition._from_raw(len(upper), canonical_labels(upper + lower))
+    return Partition._from_raw((len(upper), canonical_labels(upper + lower)))
 
 
 def render_partition(p: Partition, fmt: str = "text") -> str:
@@ -108,7 +108,19 @@ def render_partition(p: Partition, fmt: str = "text") -> str:
 
 def partition_to_json(p: Partition) -> dict:
     check_type(p, Partition, "the rendered value", VariantMismatchError)
-    return {"upper": list(p.upper), "lower": list(p.lower)}
+    return _rows_to_json(p._raw)
+
+
+def _rows_to_json(raw) -> dict:
+    """The two label rows of a raw member, of any variant, as JSON fields."""
+    k, b = raw[0], raw[1]
+    return {"upper": list(b[:k]), "lower": list(b[k:])}
+
+
+def _rows_to_text(raw) -> tuple[str, str]:
+    """The two label rows of a raw member, of any variant, as text."""
+    k, b = raw[0], raw[1]
+    return ",".join(map(str, b[:k])), ",".join(map(str, b[k:]))
 
 
 # The JSON types a field may hold, with the name used in error messages.
@@ -174,8 +186,7 @@ def parse_colored(text: str) -> ColoredPartition:
 def render_colored(cp: ColoredPartition, fmt: str = "text") -> str:
     check_type(cp, ColoredPartition, "the rendered value", VariantMismatchError)
     if fmt == "text":
-        up = ",".join(map(str, cp.base.upper))
-        lo = ",".join(map(str, cp.base.lower))
+        up, lo = _rows_to_text(cp._raw)
         return f"{''.join(cp.upper_colors)}:{up}|{''.join(cp.lower_colors)}:{lo}"
     if fmt == "json":
         return json.dumps(colored_to_json(cp))
@@ -184,7 +195,7 @@ def render_colored(cp: ColoredPartition, fmt: str = "text") -> str:
 
 def colored_to_json(cp: ColoredPartition) -> dict:
     check_type(cp, ColoredPartition, "the rendered value", VariantMismatchError)
-    out = partition_to_json(cp.base)
+    out = _rows_to_json(cp._raw)
     out["upper_colors"] = "".join(cp.upper_colors)
     out["lower_colors"] = "".join(cp.lower_colors)
     return out
@@ -218,7 +229,7 @@ def parse_spatial(text: str) -> SpatialPartition:
 def render_spatial(sp: SpatialPartition, fmt: str = "text") -> str:
     check_type(sp, SpatialPartition, "the rendered value", VariantMismatchError)
     if fmt == "text":
-        return f"m={sp.levels};{sp.flattened}"
+        return f"m={sp.levels};" + "|".join(_rows_to_text(sp._raw))
     if fmt == "json":
         return json.dumps(spatial_to_json(sp))
     raise ValueError(f"unknown format {fmt!r}")
@@ -227,7 +238,7 @@ def render_spatial(sp: SpatialPartition, fmt: str = "text") -> str:
 def spatial_to_json(sp: SpatialPartition) -> dict:
     check_type(sp, SpatialPartition, "the rendered value", VariantMismatchError)
     out = {"levels": sp.levels}
-    out.update(partition_to_json(sp.flattened))
+    out.update(_rows_to_json(sp._raw))
     return out
 
 

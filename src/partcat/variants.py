@@ -6,6 +6,11 @@ strings to agree. A spatial partition stacks an ordinary partition shape on
 m levels; it is stored in flattened form, where the level-j copy of point i
 sits at flat position m*(i-1)+j. Its operations check that the level counts
 agree and run the plain kernels on the flattened form, m points to a column.
+
+Both classes keep only a raw member, in the base `partition._Value`: a
+colored value its upper count, blocks and two color rows, a spatial value
+its flattened raw member, with its level count beside it. Their public
+fields are read-only views of these.
 """
 
 from collections.abc import Iterable
@@ -20,7 +25,7 @@ from .errors import (
     check_type,
 )
 from .ops import _Plain, check_interface, corner_move, reverse_columns
-from .partition import IDENTITY, PAIR, Partition, canonical_labels
+from .partition import IDENTITY, PAIR, Partition, _Value, canonical_labels
 
 WHITE = "w"
 BLACK = "b"
@@ -37,14 +42,15 @@ def invert_color(c: str) -> str:
     return BLACK if c == WHITE else WHITE
 
 
-class ColoredPartition:
+class ColoredPartition(_Value):
     """A partition with a white/black color on every point.
 
     Colors are given per row, as any iterable of "w"/"b" (a plain string
     like "wb" works), and must match the row lengths of the base partition.
+    The raw member is (upper count, blocks, upper colors, lower colors).
     """
 
-    __slots__ = ("base", "upper_colors", "lower_colors", "_hash")
+    __slots__ = ()
 
     def __init__(self, base: Partition, upper_colors: Iterable[str], lower_colors: Iterable[str]):
         check_type(base, Partition, "the base", VariantMismatchError)
@@ -57,62 +63,23 @@ class ColoredPartition:
             )
         for c in uc + lc:
             _check_color(c)
-        self.base = base
-        self.upper_colors = uc
-        self.lower_colors = lc
-        self._hash = hash((base, uc, lc))
+        self._raw = raw = base._raw + (uc, lc)
+        self._hash = hash(raw)
 
-    @classmethod
-    def _from_raw(cls, upper_count: int, blocks: tuple, upper_colors: tuple, lower_colors: tuple):
-        # Internal: the value of a raw member, trusting `blocks` to be
-        # canonical and the color tuples to hold valid colors and to match
-        # its rows. Used for the results of operations on checked values.
-        p = object.__new__(cls)
-        p.base = base = Partition._from_raw(upper_count, blocks)
-        p.upper_colors = upper_colors
-        p.lower_colors = lower_colors
-        p._hash = hash((base, upper_colors, lower_colors))
-        return p
-
-    @property
-    def size(self) -> int:
-        return self.base.size
-
-    @property
-    def upper_points(self) -> int:
-        return self.base.upper_count
-
-    @property
-    def lower_points(self) -> int:
-        return self.base.lower_count
-
-    @property
-    def sort_key(self):
-        return self.base.sort_key + (self.upper_colors, self.lower_colors)
-
-    def __eq__(self, other):
-        if not isinstance(other, ColoredPartition):
-            return NotImplemented
-        return (
-            self.base == other.base
-            and self.upper_colors == other.upper_colors
-            and self.lower_colors == other.lower_colors
-        )
-
-    def __hash__(self):
-        return self._hash
+    # Views of the raw member; the point counts and the size are those of
+    # the base, and the compose interface is the color string, which fixes
+    # the point count.
+    base = property(lambda p: Partition._from_raw(p._raw[:2]), doc="The uncolored partition.")
+    upper_colors = upper_key = property(lambda p: p._raw[2])
+    lower_colors = lower_key = property(lambda p: p._raw[3])
+    upper_points, lower_points = Partition.upper_points, Partition.lower_points
+    size, sort_key = Partition.size, Partition.sort_key
 
     def __repr__(self):
         return (
             f"ColoredPartition({self.base!r}, "
             f"{''.join(self.upper_colors)!r}, {''.join(self.lower_colors)!r})"
         )
-
-
-# The compose interface is the color string (the color slots); it fixes the point count.
-ColoredPartition.upper_key = ColoredPartition.upper_colors
-ColoredPartition.lower_key = ColoredPartition.lower_colors
-ColoredPartition._raw = property(lambda p: p.base._raw + (p.upper_colors, p.lower_colors))
 
 
 class _Colored:
@@ -150,13 +117,13 @@ def colored_tensor(p: ColoredPartition, q: ColoredPartition) -> ColoredPartition
     """Horizontal concatenation; color strings concatenate row-wise."""
     check_type(p, ColoredPartition, "an operand", VariantMismatchError)
     check_type(q, ColoredPartition, "an operand", VariantMismatchError)
-    return ColoredPartition._from_raw(*_Colored.colored_tensor(p._raw, q._raw))
+    return ColoredPartition._from_raw(_Colored.colored_tensor(p._raw, q._raw))
 
 
 def colored_involution(p: ColoredPartition) -> ColoredPartition:
     """Swap rows; the color strings swap rows with them, order unchanged."""
     check_type(p, ColoredPartition, "an operand", VariantMismatchError)
-    return ColoredPartition._from_raw(*_Colored.colored_involution(p._raw))
+    return ColoredPartition._from_raw(_Colored.colored_involution(p._raw))
 
 
 def colored_compose(p: ColoredPartition, q: ColoredPartition) -> ColoredPartition:
@@ -173,19 +140,19 @@ def colored_compose(p: ColoredPartition, q: ColoredPartition) -> ColoredPartitio
             f"cannot compose: interface colors {''.join(q.lower_colors)!r} "
             f"of q do not match {''.join(p.upper_colors)!r} of p"
         )
-    return ColoredPartition._from_raw(*_Colored.colored_compose(p._raw, q._raw))
+    return ColoredPartition._from_raw(_Colored.colored_compose(p._raw, q._raw))
 
 
 def colored_rotate(p: ColoredPartition, corner: str) -> ColoredPartition:
     """Rotate one end point to the other row, inverting the moved point's color."""
     check_type(p, ColoredPartition, "an operand", VariantMismatchError)
-    return ColoredPartition._from_raw(*_Colored.colored_rotate(p._raw, corner, 1))
+    return ColoredPartition._from_raw(_Colored.colored_rotate(p._raw, corner, 1))
 
 
 def colored_reflect(p: ColoredPartition) -> ColoredPartition:
     """Reverse both rows; every point keeps its color."""
     check_type(p, ColoredPartition, "an operand", VariantMismatchError)
-    return ColoredPartition._from_raw(*_Colored.colored_reflect(p._raw, 1))
+    return ColoredPartition._from_raw(_Colored.colored_reflect(p._raw, 1))
 
 
 def colored_base_partitions() -> list[ColoredPartition]:
@@ -202,16 +169,17 @@ def colored_base_partitions() -> list[ColoredPartition]:
     ]
 
 
-class SpatialPartition:
+class SpatialPartition(_Value):
     """A partition on m stacked levels, stored flattened.
 
     `flattened` holds the image of the level structure under the reindexing
     (point i, level j) -> m*(i-1)+j, so its row lengths must be divisible by
     `levels`. The per-level point counts are exposed as `upper_points` and
-    `lower_points`.
+    `lower_points`. The raw member is that of `flattened`; the level count
+    is kept beside it, and equality and the hash cover both.
     """
 
-    __slots__ = ("levels", "flattened", "_hash")
+    __slots__ = ("_levels",)
 
     def __init__(self, levels: int, flattened: Partition):
         check_count(levels, 1, "levels")
@@ -221,54 +189,39 @@ class SpatialPartition:
                 f"flattened rows of lengths {flattened.upper_count}/"
                 f"{flattened.lower_count} are not divisible by {levels} levels"
             )
-        self.levels = levels
-        self.flattened = flattened
-        self._hash = hash((levels, flattened))
+        self._raw = flattened._raw
+        self._levels = levels
+        self._hash = hash((levels, flattened._hash))
 
     @classmethod
-    def _from_raw(cls, levels: int, upper_count: int, blocks: tuple) -> "SpatialPartition":
-        # Internal: the value whose flattened form is a raw member, trusting
-        # `levels` to be a positive integer dividing both row lengths.
-        p = object.__new__(cls)
-        p.levels = levels
-        p.flattened = flattened = Partition._from_raw(upper_count, blocks)
-        p._hash = hash((levels, flattened))
+    def _from_raw(cls, levels: int, raw) -> "SpatialPartition":
+        # Internal: as `_Value._from_raw`, trusting `levels` to be a positive
+        # integer dividing both row lengths of the flattened raw member.
+        p = super()._from_raw(raw)
+        p._levels = levels
+        p._hash = hash((levels, p._hash))
         return p
 
-    @property
-    def upper_points(self) -> int:
-        return self.flattened.upper_count // self.levels
-
-    @property
-    def lower_points(self) -> int:
-        return self.flattened.lower_count // self.levels
-
-    @property
-    def size(self) -> int:
-        """Number of points of the level structure (not counting levels)."""
-        return self.upper_points + self.lower_points
-
-    @property
-    def upper_key(self):
-        return (self.levels, self.upper_points)
-
-    @property
-    def lower_key(self):
-        return (self.levels, self.lower_points)
-
-    @property
-    def sort_key(self):
-        return (self.levels,) + self.flattened.sort_key
-
-    _raw = property(lambda self: self.flattened._raw)
-
     def __eq__(self, other):
-        if not isinstance(other, SpatialPartition):
+        if type(other) is not SpatialPartition:
             return NotImplemented
-        return self.levels == other.levels and self.flattened == other.flattened
+        return self._levels == other._levels and self._raw == other._raw
 
-    def __hash__(self):
-        return self._hash
+    __hash__ = _Value.__hash__  # a class that defines __eq__ inherits no __hash__
+
+    def __reduce__(self):
+        return self._from_raw, (self._levels, self._raw)
+
+    # Views of the flattened raw member and the level count.
+    levels = property(lambda p: p._levels)
+    flattened = property(lambda p: Partition._from_raw(p._raw), doc="The flattened partition.")
+    upper_points = property(lambda p: p._raw[0] // p._levels)
+    lower_points = property(lambda p: (len(p._raw[1]) - p._raw[0]) // p._levels)
+    size = property(lambda p: len(p._raw[1]) // p._levels,
+                    doc="Number of points of the level structure (not counting levels).")
+    upper_key = property(lambda p: (p._levels, p.upper_points))
+    lower_key = property(lambda p: (p._levels, p.lower_points))
+    sort_key = property(lambda p: (p._levels, len(p._raw[1])) + p._raw)
 
     def __repr__(self):
         return f"SpatialPartition(levels={self.levels}, flattened={self.flattened!r})"
@@ -335,7 +288,7 @@ def lift_to_levels(p: Partition, m: int) -> SpatialPartition:
     labels = []
     for b in p.blocks:
         labels.extend(b * m + j for j in range(1, m + 1))
-    return SpatialPartition(m, Partition._from_raw(p.upper_count * m, canonical_labels(labels)))
+    return SpatialPartition._from_raw(m, (p.upper_count * m, canonical_labels(labels)))
 
 
 def spatial_base_partitions(m: int) -> list[SpatialPartition]:
@@ -355,29 +308,29 @@ def _check_operands(p: SpatialPartition, q: SpatialPartition):
 def spatial_tensor(p: SpatialPartition, q: SpatialPartition) -> SpatialPartition:
     """Horizontal concatenation of same-level spatial partitions."""
     _check_operands(p, q)
-    return SpatialPartition._from_raw(p.levels, *_Plain.tensor(p._raw, q._raw))
+    return SpatialPartition._from_raw(p.levels, _Plain.tensor(p._raw, q._raw))
 
 
 def spatial_involution(p: SpatialPartition) -> SpatialPartition:
     """Swap the upper and lower rows of every level."""
     check_type(p, SpatialPartition, "an operand", VariantMismatchError)
-    return SpatialPartition._from_raw(p.levels, *_Plain.involution(p._raw))
+    return SpatialPartition._from_raw(p.levels, _Plain.involution(p._raw))
 
 
 def spatial_compose(p: SpatialPartition, q: SpatialPartition) -> SpatialPartition:
     """Stack `q` on top of `p`, level by level."""
     _check_operands(p, q)
     check_interface(p.upper_points, q.lower_points)
-    return SpatialPartition._from_raw(p.levels, *_Plain.compose(p._raw, q._raw))
+    return SpatialPartition._from_raw(p.levels, _Plain.compose(p._raw, q._raw))
 
 
 def spatial_rotate(p: SpatialPartition, corner: str) -> SpatialPartition:
     """Rotate a whole point column (all m levels of one end point) at once."""
     check_type(p, SpatialPartition, "an operand", VariantMismatchError)
-    return SpatialPartition._from_raw(p.levels, *_Plain.rotate(p._raw, corner, p.levels))
+    return SpatialPartition._from_raw(p.levels, _Plain.rotate(p._raw, corner, p.levels))
 
 
 def spatial_reflect(p: SpatialPartition) -> SpatialPartition:
     """Reverse the column order of both rows, keeping level order in each column."""
     check_type(p, SpatialPartition, "an operand", VariantMismatchError)
-    return SpatialPartition._from_raw(p.levels, *_Plain.reflect_vertical(p._raw, p.levels))
+    return SpatialPartition._from_raw(p.levels, _Plain.reflect_vertical(p._raw, p.levels))

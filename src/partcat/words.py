@@ -171,4 +171,4 @@ def partition_of_word(w: FreeWord) -> Partition:
     check_type(w, FreeWord, "the word", ValueError)
     # FreeWord has checked every index to be an int >= 1, so the expansion
     # holds positive ints only.
-    return Partition._from_raw(0, canonical_labels(_expansion(w)))
+    return Partition._from_raw((0, canonical_labels(_expansion(w))))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -211,3 +212,27 @@ def test_import_loads_no_dataclasses_or_future():
         [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
+
+
+# The benchmark's five `generate` jobs, generators spelled canonically: the
+# sha256 of stdout and its line count, fixed since the engine's first rewrite.
+_GENERATE_JOBS = (
+    (("--bound", "6", "--format", "text", "1|1,1", "1|1", "|1,1"),
+     "7abb873b7f6c7f6d72804857414c2d0c230803a2f6b3c9aaa553c156d121d5b0", 1_275),
+    (("--bound", "6", "--format", "json", "1|1,1", "1,2|2,1"),
+     "18d70d7192b92cc79abb9eaf8b4f0827fbf1b301928b7082e77a63f3af5a07b8", 1),
+    (("--bound", "8", "--format", "text", "1,2|2,1"),
+     "0879794be8d90ed3829d6f62da4d76d656b6b14bc0a8511f06ba3331ff1ce396", 1_069),
+    (("--bound", "8", "--format", "json", "--colored"),
+     "8853fecbb7e728f964b2aa78a0d90634424877e13480866634732004b7dbb53e", 1),
+    (("--bound", "6", "--format", "text", "--levels", "2", "m=2;1,2|1,2,1,2"),
+     "fea14c416303b8f21620a23bfa5e9341eee60bde7949e86ad237c3c11e33016f", 1_275),
+)
+
+
+def test_generate_output_is_pinned(capsys):
+    for args, digest, lines in _GENERATE_JOBS:
+        code, out, err = run(capsys, "generate", *args)
+        assert (code, err) == (0, "")
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args

@@ -676,3 +676,19 @@ def test_spatial_closure_m1_equals_plain():
     plain = construct_closure([FORK], 4)
     spatial = construct_spatial_closure([SpatialPartition(1, FORK)], 4)
     assert {m.flattened for m in spatial.members} == plain.members
+
+
+def test_closure_set_fields_are_read_only():
+    # The queries check sizes against the bound of the member set they
+    # read, so neither can be swapped out from under them.
+    c = construct_closure([FORK], 4)
+    for name, value in (("bound", 100), ("generators", ()), ("members", frozenset()),
+                        ("saturated", False), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(c, name, value)
+    assert (c.bound, c.generators, c.saturated) == (4, (FORK,), True)
+    with pytest.raises(BoundError):
+        c.members_of_size(50)
+    with pytest.raises(BoundError):
+        c.contains_within_bound(Partition(range(10), range(10)))
+    assert c.contains_within_bound(FORK)

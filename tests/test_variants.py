@@ -1,8 +1,12 @@
 import random
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
+import partcat
 from partcat import (
     BLACK,
     CORNERS,
@@ -446,21 +450,21 @@ def test_kernels_match_public_operations():
         for wrap, kernels, width, public, p, q in _kernel_cases(rng):
             inv, refl, rot, tens, comp = public
             x, y = p._raw, q._raw
-            assert wrap(*kernels.involution(x)) == inv(p)
-            assert wrap(*kernels.reflect_vertical(x, width)) == refl(p)
+            assert wrap(kernels.involution(x)) == inv(p)
+            assert wrap(kernels.reflect_vertical(x, width)) == refl(p)
             for corner in CORNERS:
                 if p.upper_points if corner.startswith("top") else p.lower_points:
-                    assert wrap(*kernels.rotate(x, corner, width)) == rot(p, corner)
-            assert wrap(*kernels.tensor(x, y)) == tens(p, q)
-            assert wrap(*kernels.tensor(y, x)) == tens(q, p)
-            assert wrap(*kernels.compose(x, y)) == comp(p, q)
-            assert Partition._from_raw(*_Plain.compose(x, y)) == compose_via_dfs(
-                Partition._from_raw(*x[:2]), Partition._from_raw(*y[:2])
+                    assert wrap(kernels.rotate(x, corner, width)) == rot(p, corner)
+            assert wrap(kernels.tensor(x, y)) == tens(p, q)
+            assert wrap(kernels.tensor(y, x)) == tens(q, p)
+            assert wrap(kernels.compose(x, y)) == comp(p, q)
+            assert Partition._from_raw(_Plain.compose(x, y)) == compose_via_dfs(
+                Partition._from_raw(x[:2]), Partition._from_raw(y[:2])
             )
             if width > 1:
-                assert wrap(*kernels.reflect_vertical(x, width)) == _reflected_by_levels(p)
+                assert wrap(kernels.reflect_vertical(x, width)) == _reflected_by_levels(p)
                 if p.upper_points:
-                    assert wrap(*kernels.rotate(x, "top-left", width)) == _top_left_by_levels(p)
+                    assert wrap(kernels.rotate(x, "top-left", width)) == _top_left_by_levels(p)
 
 
 def _one_row(rng, like, upper):
@@ -564,3 +568,53 @@ def test_flatten_respects_operations():
             assert flatten(
                 q_shape[0], p_shape[1], m, comp
             ) == spatial_compose(sp, sq).flattened
+
+
+def _public_fields(cls):
+    return {name for name in dir(cls) if not name.startswith("_")
+            and isinstance(getattr(cls, name), property)}
+
+
+def test_value_fields_are_read_only():
+    # Every public field is a view of the one raw member, so no assignment
+    # can leave a value that the operations misread.
+    p = Partition([1, 2, 2], [1, 3])
+    cp = ColoredPartition(p, "wbw", "bw")
+    sp = lift_to_levels(p, 2)
+    protocol = {"size", "upper_points", "lower_points", "upper_key", "lower_key", "sort_key"}
+    for value, fields in (
+        (p, protocol | {"upper_count", "lower_count", "blocks", "upper", "lower", "num_blocks"}),
+        (cp, protocol | {"base", "upper_colors", "lower_colors"}),
+        (sp, protocol | {"levels", "flattened"}),
+    ):
+        assert _public_fields(type(value)) == fields
+        before = {name: getattr(value, name) for name in fields}
+        for name in fields | {"extra"}:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 5)
+        assert {name: getattr(value, name) for name in fields} == before
+    assert involution(p) == Partition([1, 2], [1, 3, 3])
+
+
+def test_pickle_recomputes_the_hash():
+    # A colored value's hash covers its str colors, which hash differently
+    # under another PYTHONHASHSEED: a loaded value must hash as a fresh one.
+    src = str(Path(partcat.__file__).resolve().parent.parent)
+    make = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from partcat import *\n"
+        "p = Partition([1, 2, 2], [1, 3])\n"
+        "values = [p, ColoredPartition(p, 'wbw', 'bw'), lift_to_levels(p, 2)]\n"
+    )
+    dump = make + "import pickle; print(pickle.dumps(values).hex())"
+    load = make + (
+        "import pickle; loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+        "print([x == y and x in {y} and hash(x) == hash(y) for x, y in zip(loaded, values)])"
+    )
+
+    def run(code, seed, stdin=None):
+        env = {"PYTHONHASHSEED": str(seed)}
+        return subprocess.run([sys.executable, "-I", "-c", code, src], input=stdin, env=env,
+                              capture_output=True, text=True, check=True).stdout
+
+    assert run(load, 2, run(dump, 1)) == "[True, True, True]\n"
