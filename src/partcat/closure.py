@@ -20,12 +20,12 @@ intermediates larger than n, so absence from a bounded closure never proves
 absence from the category (and no general decision procedure can exist).
 
 One engine runs all three variants, on raw members: the hashable tuples
-that the kernels of :class:`partcat.ops._Plain` and
-:class:`partcat.variants._Colored` take, an upper point count and a block
-vector, then a colored member's color rows. A spatial member is its
-flattened form, m points to a column, so its sizes and the bound count
-flat points. The member dict deduplicates raw members, and a value object
-is built once per member kept, when the run returns.
+that the kernel tables `ops._Plain`, `variants._Colored` and
+`variants._Spatial` take, an upper point count and a block vector, then a
+colored member's color rows or a spatial member's level count. A spatial
+member's rows are flattened, m points to a column, so its sizes and the
+bound count flat points. The member dict deduplicates raw members, and a
+value object is built once per member kept, when the run returns.
 
 Only one pair per symmetry orbit is composed or tensored. With R the
 vertical reflection and I the involution,
@@ -93,8 +93,8 @@ and identity laws give from smaller pairs. Orbits are popped smallest size
 first. Each member has a split record, the set splits[z] of the upper
 point counts i at which z splits into a tensor of two members, each with
 an upper point; z's lower row splits as its I-image's upper row does. The
-engine also flags the bases of shape (1, 1), the identity bases, with a
-column flag, and has a one-row flag per member. Every evaluated
+engine also gives the identity bases, those with as many upper as lower
+points, a column flag, and has a one-row flag per member. Every evaluated
 z = tensor(y, q) writes its record to the whole orbit of z at once,
 following R z == tensor(R q, R y) and I z == tensor(I y, I q):
 
@@ -158,14 +158,13 @@ them.
 
 from collections import defaultdict
 from collections.abc import Iterable
-from functools import partial
 from operator import attrgetter
 
 from .errors import BoundError, LevelMismatchError, VariantMismatchError
 from .errors import check_count, check_iterable, check_type
 from .ops import _Plain
 from .partition import IDENTITY, PAIR, Partition
-from .variants import ColoredPartition, SpatialPartition, _Colored
+from .variants import ColoredPartition, SpatialPartition, _Colored, _Spatial
 from .variants import colored_base_partitions, spatial_base_partitions
 
 _sort_key = attrgetter("sort_key")
@@ -185,12 +184,15 @@ class ClosureSet:
 
     __slots__ = ("_bound", "_generators", "_members", "_type", "_by_shape")
 
-    def __init__(self, bound, generators, members, value_type):
-        self._bound = bound
-        self._generators = tuple(generators)
-        self._members = frozenset(members)
-        self._type = value_type
-        self._by_shape = None  # (upper points, lower points) -> members, built on first use
+    def __new__(cls, bound, generators, members, value_type):
+        c = object.__new__(cls)
+        c._bound, c._generators, c._type = bound, tuple(generators), value_type
+        c._members = frozenset(members)
+        c._by_shape = None  # (upper points, lower points) -> members, built on first use
+        return c
+
+    def __getnewargs__(self):  # pickling calls __new__ with these
+        return self._bound, self._generators, self._members, self._type
 
     # Read-only, so the queries' bound checks always hold for the member set.
     bound = property(attrgetter("_bound"))
@@ -251,17 +253,17 @@ class ClosureSet:
         return sorted(self._members, key=_sort_key)
 
 
-def _saturate(bases, generators, bound, kernels, width):
+def _saturate(bases, generators, bound, kernels):
     """The raw members of the closure of the raw `bases` and `generators`
     within `bound`, in insertion order, by the kernel table `kernels`.
 
-    Sizes and `bound` count points, `width` to a column. The bases that fit
-    the bound are added first, then the generators; the bases of shape
-    (width, width) are flagged as identity bases. Each R/I orbit enters the
-    worklist whole when its first member is found, and is processed once,
-    when it is popped. Each evaluated tensor writes its split record to its
-    result's whole orbit. The kernels are called directly, so a profile
-    attributes each call to this module, as the benchmark's counters need.
+    Sizes and `bound` count block-vector points. The bases that fit the
+    bound are added first, then the generators; the bases with as many upper
+    as lower points, which the pairs have not, are the identity bases. Each
+    R/I orbit enters the worklist whole when its first member is found, and
+    is processed once, when popped. Each evaluated tensor writes its split
+    record to its result's whole orbit. The kernels are called directly, so
+    a profile credits each call to this module, for the benchmark's counters.
     """
     members = {}  # raw member -> index into the lists below
     stacks = [[] for _ in range(bound + 1)]  # unpopped orbits by size
@@ -281,7 +283,7 @@ def _saturate(bases, generators, bound, kernels, width):
     def add(x):
         if x not in members:
             inv = involution(x)
-            orbit = x, reflect(x, width), inv, reflect(inv, width)
+            orbit = x, reflect(x), inv, reflect(inv)
             frame = [members.setdefault(y, len(members)) for y in orbit]
             # New members come in index order; R, I and RI move orbit
             # position pos to pos ^ 1, pos ^ 2 and pos ^ 3.
@@ -297,7 +299,7 @@ def _saturate(bases, generators, bound, kernels, width):
     for b in bases:
         if len(b[1]) <= bound:
             add(b)
-            if b[0] == len(b[1]) - b[0] == width:
+            if b[0] == len(b[1]) - b[0]:
                 identity.add(members[b])
                 column[members[b]] = True  # R and I fix it
     for g in generators:
@@ -325,7 +327,7 @@ def _saturate(bases, generators, bound, kernels, width):
         a, ra, ia, ria = mates[members[x]]
         for y in {a: x, ra: ref, ia: inv, ria: ref_inv}.values():
             if y[0]:
-                add(rotate(y, "top-left", width))
+                add(rotate(y, "top-left"))
 
         # Tensor: I-classes; y is the left factor. Each split is written to
         # the whole orbit of z: R z == tensor(R q, R y), I z == tensor(I y, I q).
@@ -403,15 +405,14 @@ def _checked(generators, value_type):
     return generators
 
 
-def _construct(generators, bound, value_type, bases, kernels, wrap, width=1):
-    """Saturate the raw forms of the values; `wrap` makes each member kept a value."""
+def _construct(generators, bound, value_type, bases, kernels, levels=1):
+    """Saturate the raw forms of the values, and make each member kept a value."""
     check_count(bound, 1, "bound")
     for g in generators:
         if g.size > bound:
             raise BoundError(f"generator of size {g.size} exceeds the bound {bound}")
-    raw = _saturate([b._raw for b in bases], [g._raw for g in generators], bound * width,
-                    kernels, width)
-    return ClosureSet(bound, generators, map(wrap, raw), value_type)
+    raw = _saturate([b._raw for b in bases], [g._raw for g in generators], bound * levels, kernels)
+    return ClosureSet(bound, generators, map(value_type._from_raw, raw), value_type)
 
 
 def construct_closure(generators: Iterable[Partition], bound: int) -> ClosureSet:
@@ -423,7 +424,7 @@ def construct_closure(generators: Iterable[Partition], bound: int) -> ClosureSet
     result does and does not mean.
     """
     generators = _checked(generators, Partition)
-    return _construct(generators, bound, Partition, [IDENTITY, PAIR], _Plain, Partition._from_raw)
+    return _construct(generators, bound, Partition, [IDENTITY, PAIR], _Plain)
 
 
 def construct_colored_closure(generators, bound: int) -> ClosureSet:
@@ -433,8 +434,7 @@ def construct_colored_closure(generators, bound: int) -> ClosureSet:
     matching interface colors.
     """
     generators = _checked(generators, ColoredPartition)
-    return _construct(generators, bound, ColoredPartition, colored_base_partitions(), _Colored,
-                      ColoredPartition._from_raw)
+    return _construct(generators, bound, ColoredPartition, colored_base_partitions(), _Colored)
 
 
 def construct_spatial_closure(generators, bound: int, levels: int | None = None) -> ClosureSet:
@@ -456,5 +456,5 @@ def construct_spatial_closure(generators, bound: int, levels: int | None = None)
             )
     if levels is None:
         raise ValueError("levels is required when no generators are given")
-    return _construct(generators, bound, SpatialPartition, spatial_base_partitions(levels), _Plain,
-                      partial(SpatialPartition._from_raw, levels), levels)
+    return _construct(generators, bound, SpatialPartition, spatial_base_partitions(levels),
+                      _Spatial, levels)

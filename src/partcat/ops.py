@@ -23,8 +23,8 @@ _FORESTS = [list(range(n)) for n in range(_SMALL_COMPOSE + 3)]
 class _Plain:
     """Kernels on raw members, tuples that start with an upper point count
     and a canonical block vector: each reads those two, returns such a pair
-    and checks nothing. `width` is the number of points in a column, m for
-    the flattened form of a spatial value. Never instantiated."""
+    and checks nothing. A move's `width`, the points in a column, is the
+    level count of a spatial value's flattened form. Never instantiated."""
 
     def involution(p):
         k, b = p[0], p[1]
@@ -99,12 +99,18 @@ class _Plain:
             append(lab)
         return k, tuple(out)
 
-    def rotate(p, corner, width):
+    def rotate(p, corner, width=1):
         moved, k, _ = corner_move(p[1], p[0], corner, width)
         return k, canonical_labels(moved)
 
-    def reflect_vertical(p, width):
-        return p[0], canonical_labels(reverse_columns(p[1], p[0], width))
+    def reflect_vertical(p, width=1):
+        # Reverse the order of the columns in each row, not within a column.
+        k, b = p[0], p[1]
+        out = list(b)
+        for j in range(width):
+            out[j:k:width] = b[j:k:width][::-1]
+            out[k + j :: width] = b[k + j :: width][::-1]
+        return k, canonical_labels(out)
 
     def keys(p):  # the compose interfaces: q fits on top of p when keys(q)[1] == keys(p)[0]
         return p[0], len(p[1]) - p[0]
@@ -172,16 +178,6 @@ def corner_move(items, k: int, corner: str, width: int):
     raise ValueError(f"unknown corner {corner!r}, expected one of {CORNERS}")
 
 
-def reverse_columns(items, k: int, width: int) -> list:
-    """Reverse the order of the `width`-item columns in each row of `items`
-    (the `k` upper items, then the lower), keeping each column's own order."""
-    out = list(items)
-    for j in range(width):
-        out[j:k:width] = items[j:k:width][::-1]
-        out[k + j :: width] = items[k + j :: width][::-1]
-    return out
-
-
 def rotate(p: Partition, corner: str) -> Partition:
     """Move one end point of a row to the matching end of the other row.
 
@@ -191,10 +187,10 @@ def rotate(p: Partition, corner: str) -> Partition:
     inverse moves. Block membership of the moved point is preserved.
     """
     check_type(p, Partition, "an operand", VariantMismatchError)
-    return Partition._from_raw(_Plain.rotate(p._raw, corner, 1))
+    return Partition._from_raw(_Plain.rotate(p._raw, corner))
 
 
 def reflect_vertical(p: Partition) -> Partition:
     """Reverse both rows (reflection along the vertical axis)."""
     check_type(p, Partition, "an operand", VariantMismatchError)
-    return Partition._from_raw(_Plain.reflect_vertical(p._raw, 1))
+    return Partition._from_raw(_Plain.reflect_vertical(p._raw))

@@ -13,7 +13,8 @@ the same thing as partition equivalence, so values can be compared with
 The private base `_Value` holds the raw member and its hash for this class
 and for the colored and spatial ones of `partcat.variants`. Every public
 field is a read-only view of the raw member, so no assignment can break the
-canonical form, and `_from_raw` is the one path from a raw member to a value."""
+canonical form. `_from_raw` is the one path from a raw member to a value;
+each constructor is a `__new__` that checks its input and ends in it."""
 
 from collections.abc import Iterable, Sequence
 
@@ -97,9 +98,8 @@ class _Value:
         return self._hash
 
     def __reduce__(self):
-        # Rebuilt through `_from_raw`, so the hash is that of the loading
-        # interpreter: a colored value's hash covers str colors, which vary
-        # with PYTHONHASHSEED.
+        # Rebuilt through `_from_raw`, so the hash is the loading interpreter's:
+        # a colored value's hash covers str colors, which vary with PYTHONHASHSEED.
         return self._from_raw, (self._raw,)
 
 
@@ -115,7 +115,7 @@ class Partition(_Value):
 
     __slots__ = ()
 
-    def __init__(self, upper: Sequence[int] = (), lower: Sequence[int] = ()):
+    def __new__(cls, upper: Sequence[int] = (), lower: Sequence[int] = ()):
         upper = tuple(check_iterable(upper, "the upper row"))
         lower = tuple(check_iterable(lower, "the lower row"))
         for row in (upper, lower):
@@ -124,8 +124,7 @@ class Partition(_Value):
                 # test first keeps the common case to one comparison.
                 if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)) or x < 0:
                     raise ValueError(f"labels must be non-negative integers, got {x!r}")
-        self._raw = raw = (len(upper), canonical_labels(upper + lower))
-        self._hash = hash(raw)
+        return cls._from_raw((len(upper), canonical_labels(upper + lower)))
 
     # Views of the raw member (k, blocks). The value protocol's point counts,
     # and the compose interface ((p, q) composes when q.lower_key ==

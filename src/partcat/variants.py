@@ -9,8 +9,8 @@ agree and run the plain kernels on the flattened form, m points to a column.
 
 Both classes keep only a raw member, in the base `partition._Value`: a
 colored value its upper count, blocks and two color rows, a spatial value
-its flattened raw member, with its level count beside it. Their public
-fields are read-only views of these.
+its flat upper count, flat blocks and level count. Their public fields are
+read-only views of these.
 """
 
 from collections.abc import Iterable
@@ -24,7 +24,7 @@ from .errors import (
     check_iterable,
     check_type,
 )
-from .ops import _Plain, check_interface, corner_move, reverse_columns
+from .ops import _Plain, check_interface, corner_move
 from .partition import IDENTITY, PAIR, Partition, _Value, canonical_labels
 
 WHITE = "w"
@@ -52,7 +52,7 @@ class ColoredPartition(_Value):
 
     __slots__ = ()
 
-    def __init__(self, base: Partition, upper_colors: Iterable[str], lower_colors: Iterable[str]):
+    def __new__(cls, base: Partition, upper_colors: Iterable[str], lower_colors: Iterable[str]):
         check_type(base, Partition, "the base", VariantMismatchError)
         uc = tuple(check_iterable(upper_colors, "the upper colors"))
         lc = tuple(check_iterable(lower_colors, "the lower colors"))
@@ -63,8 +63,7 @@ class ColoredPartition(_Value):
             )
         for c in uc + lc:
             _check_color(c)
-        self._raw = raw = base._raw + (uc, lc)
-        self._hash = hash(raw)
+        return cls._from_raw(base._raw + (uc, lc))
 
     # Views of the raw member; the point counts and the size are those of
     # the base, and the compose interface is the color string, which fixes
@@ -96,15 +95,13 @@ class _Colored:
     def colored_compose(p, q):
         return _Plain.compose(p, q) + (q[2], p[3])
 
-    def colored_rotate(p, corner, width):
-        colors, k, at = corner_move(p[2] + p[3], p[0], corner, width)
-        moved = tuple(map(invert_color, colors[at : at + width]))
-        colors = colors[:at] + moved + colors[at + width :]
-        return _Plain.rotate(p, corner, width) + (colors[:k], colors[k:])
+    def colored_rotate(p, corner):
+        colors, k, at = corner_move(p[2] + p[3], p[0], corner, 1)
+        colors = colors[:at] + (invert_color(colors[at]),) + colors[at + 1 :]
+        return _Plain.rotate(p, corner) + (colors[:k], colors[k:])
 
-    def colored_reflect(p, width):
-        colors = tuple(reverse_columns(p[2] + p[3], p[0], width))
-        return _Plain.reflect_vertical(p, width) + (colors[: p[0]], colors[p[0] :])
+    def colored_reflect(p):
+        return _Plain.reflect_vertical(p) + (p[2][::-1], p[3][::-1])
 
     def keys(p):  # the compose interfaces are the color rows
         return p[2], p[3]
@@ -146,13 +143,13 @@ def colored_compose(p: ColoredPartition, q: ColoredPartition) -> ColoredPartitio
 def colored_rotate(p: ColoredPartition, corner: str) -> ColoredPartition:
     """Rotate one end point to the other row, inverting the moved point's color."""
     check_type(p, ColoredPartition, "an operand", VariantMismatchError)
-    return ColoredPartition._from_raw(_Colored.colored_rotate(p._raw, corner, 1))
+    return ColoredPartition._from_raw(_Colored.colored_rotate(p._raw, corner))
 
 
 def colored_reflect(p: ColoredPartition) -> ColoredPartition:
     """Reverse both rows; every point keeps its color."""
     check_type(p, ColoredPartition, "an operand", VariantMismatchError)
-    return ColoredPartition._from_raw(_Colored.colored_reflect(p._raw, 1))
+    return ColoredPartition._from_raw(_Colored.colored_reflect(p._raw))
 
 
 def colored_base_partitions() -> list[ColoredPartition]:
@@ -175,13 +172,13 @@ class SpatialPartition(_Value):
     `flattened` holds the image of the level structure under the reindexing
     (point i, level j) -> m*(i-1)+j, so its row lengths must be divisible by
     `levels`. The per-level point counts are exposed as `upper_points` and
-    `lower_points`. The raw member is that of `flattened`; the level count
-    is kept beside it, and equality and the hash cover both.
+    `lower_points`. The raw member is that of `flattened` followed by the
+    level count, so equality and the hash cover both.
     """
 
-    __slots__ = ("_levels",)
+    __slots__ = ()
 
-    def __init__(self, levels: int, flattened: Partition):
+    def __new__(cls, levels: int, flattened: Partition):
         check_count(levels, 1, "levels")
         check_type(flattened, Partition, "the flattened value", VariantMismatchError)
         if flattened.upper_count % levels or flattened.lower_count % levels:
@@ -189,39 +186,18 @@ class SpatialPartition(_Value):
                 f"flattened rows of lengths {flattened.upper_count}/"
                 f"{flattened.lower_count} are not divisible by {levels} levels"
             )
-        self._raw = flattened._raw
-        self._levels = levels
-        self._hash = hash((levels, flattened._hash))
+        return cls._from_raw(flattened._raw + (levels,))
 
-    @classmethod
-    def _from_raw(cls, levels: int, raw) -> "SpatialPartition":
-        # Internal: as `_Value._from_raw`, trusting `levels` to be a positive
-        # integer dividing both row lengths of the flattened raw member.
-        p = super()._from_raw(raw)
-        p._levels = levels
-        p._hash = hash((levels, p._hash))
-        return p
-
-    def __eq__(self, other):
-        if type(other) is not SpatialPartition:
-            return NotImplemented
-        return self._levels == other._levels and self._raw == other._raw
-
-    __hash__ = _Value.__hash__  # a class that defines __eq__ inherits no __hash__
-
-    def __reduce__(self):
-        return self._from_raw, (self._levels, self._raw)
-
-    # Views of the flattened raw member and the level count.
-    levels = property(lambda p: p._levels)
-    flattened = property(lambda p: Partition._from_raw(p._raw), doc="The flattened partition.")
-    upper_points = property(lambda p: p._raw[0] // p._levels)
-    lower_points = property(lambda p: (len(p._raw[1]) - p._raw[0]) // p._levels)
-    size = property(lambda p: len(p._raw[1]) // p._levels,
+    # Views of the raw member (flat upper count, flat blocks, levels).
+    levels = property(lambda p: p._raw[2])
+    flattened = property(lambda p: Partition._from_raw(p._raw[:2]), doc="The flattened partition.")
+    upper_points = property(lambda p: p._raw[0] // p._raw[2])
+    lower_points = property(lambda p: (len(p._raw[1]) - p._raw[0]) // p._raw[2])
+    size = property(lambda p: len(p._raw[1]) // p._raw[2],
                     doc="Number of points of the level structure (not counting levels).")
-    upper_key = property(lambda p: (p._levels, p.upper_points))
-    lower_key = property(lambda p: (p._levels, p.lower_points))
-    sort_key = property(lambda p: (p._levels, len(p._raw[1])) + p._raw)
+    upper_key = property(lambda p: (p._raw[2], p.upper_points))
+    lower_key = property(lambda p: (p._raw[2], p.lower_points))
+    sort_key = property(lambda p: (p._raw[2], len(p._raw[1])) + p._raw[:2])
 
     def __repr__(self):
         return f"SpatialPartition(levels={self.levels}, flattened={self.flattened!r})"
@@ -288,7 +264,7 @@ def lift_to_levels(p: Partition, m: int) -> SpatialPartition:
     labels = []
     for b in p.blocks:
         labels.extend(b * m + j for j in range(1, m + 1))
-    return SpatialPartition._from_raw(m, (p.upper_count * m, canonical_labels(labels)))
+    return SpatialPartition._from_raw((p.upper_count * m, canonical_labels(labels), m))
 
 
 def spatial_base_partitions(m: int) -> list[SpatialPartition]:
@@ -305,32 +281,57 @@ def _check_operands(p: SpatialPartition, q: SpatialPartition):
         )
 
 
+class _Spatial:
+    """The spatial operations as kernels on raw members (flat upper count,
+    flat blocks, levels): the plain kernels on the flattened form, moving
+    columns of m points, plus the level count. Unchecked like them."""
+
+    def spatial_tensor(p, q):
+        return _Plain.tensor(p, q) + p[2:]
+
+    def spatial_involution(p):
+        return _Plain.involution(p) + p[2:]
+
+    def spatial_compose(p, q):
+        return _Plain.compose(p, q) + p[2:]
+
+    def spatial_rotate(p, corner):
+        return _Plain.rotate(p, corner, p[2]) + p[2:]
+
+    def spatial_reflect(p):
+        return _Plain.reflect_vertical(p, p[2]) + p[2:]
+
+    keys = _Plain.keys  # the flat row lengths, as a run has one level count
+    tensor, involution, compose = spatial_tensor, spatial_involution, spatial_compose
+    rotate, reflect_vertical = spatial_rotate, spatial_reflect
+
+
 def spatial_tensor(p: SpatialPartition, q: SpatialPartition) -> SpatialPartition:
     """Horizontal concatenation of same-level spatial partitions."""
     _check_operands(p, q)
-    return SpatialPartition._from_raw(p.levels, _Plain.tensor(p._raw, q._raw))
+    return SpatialPartition._from_raw(_Spatial.spatial_tensor(p._raw, q._raw))
 
 
 def spatial_involution(p: SpatialPartition) -> SpatialPartition:
     """Swap the upper and lower rows of every level."""
     check_type(p, SpatialPartition, "an operand", VariantMismatchError)
-    return SpatialPartition._from_raw(p.levels, _Plain.involution(p._raw))
+    return SpatialPartition._from_raw(_Spatial.spatial_involution(p._raw))
 
 
 def spatial_compose(p: SpatialPartition, q: SpatialPartition) -> SpatialPartition:
     """Stack `q` on top of `p`, level by level."""
     _check_operands(p, q)
     check_interface(p.upper_points, q.lower_points)
-    return SpatialPartition._from_raw(p.levels, _Plain.compose(p._raw, q._raw))
+    return SpatialPartition._from_raw(_Spatial.spatial_compose(p._raw, q._raw))
 
 
 def spatial_rotate(p: SpatialPartition, corner: str) -> SpatialPartition:
     """Rotate a whole point column (all m levels of one end point) at once."""
     check_type(p, SpatialPartition, "an operand", VariantMismatchError)
-    return SpatialPartition._from_raw(p.levels, _Plain.rotate(p._raw, corner, p.levels))
+    return SpatialPartition._from_raw(_Spatial.spatial_rotate(p._raw, corner))
 
 
 def spatial_reflect(p: SpatialPartition) -> SpatialPartition:
     """Reverse the column order of both rows, keeping level order in each column."""
     check_type(p, SpatialPartition, "an operand", VariantMismatchError)
-    return SpatialPartition._from_raw(p.levels, _Plain.reflect_vertical(p._raw, p.levels))
+    return SpatialPartition._from_raw(_Spatial.spatial_reflect(p._raw))

@@ -22,10 +22,12 @@ class _Word:
 
     __slots__ = ("_letters",)
 
-    def __init__(self, letters=()):
+    def __new__(cls, letters=()):
         check_type(letters, tuple, "letters", ValueError)
-        self._check_letters(letters)
-        self._letters = letters
+        cls._check_letters(letters)
+        w = object.__new__(cls)
+        w._letters = letters
+        return w
 
     letters = property(attrgetter("_letters"))
 
@@ -46,7 +48,8 @@ class FreeWord(_Word):
 
     __slots__ = ()
 
-    def _check_letters(self, letters: tuple[tuple[int, int], ...]):
+    @staticmethod
+    def _check_letters(letters: tuple[tuple[int, int], ...]):
         for letter in letters:
             try:
                 gen, exp = letter
@@ -66,7 +69,8 @@ class InvolutiveWord(_Word):
 
     __slots__ = ()
 
-    def _check_letters(self, letters: tuple[int, ...]):
+    @staticmethod
+    def _check_letters(letters: tuple[int, ...]):
         for i in letters:
             if type(i) is not int and not isinstance(i, int) or i < 1:
                 raise ValueError(f"letter index must be an integer >= 1, got {i!r}")

@@ -1,4 +1,6 @@
+import copy
 import cProfile
+import pickle
 import pstats
 import random
 from collections import Counter, defaultdict
@@ -46,7 +48,7 @@ from partcat import (
 from partcat.closure import _saturate
 from partcat.ops import _Plain
 from partcat.oracles import enumerate_all, is_noncrossing, is_pair_partition
-from partcat.variants import _Colored
+from partcat.variants import _Colored, _Spatial
 
 from conftest import CROSSING, FORK
 from helpers import random_colored, random_partition, random_spatial
@@ -355,13 +357,13 @@ class _CountingOps:
         self.calls["involution"] += 1
         return self._kernels.involution(p)
 
-    def reflect_vertical(self, p, width):
+    def reflect_vertical(self, p):
         self.calls["reflect"] += 1
-        return self._kernels.reflect_vertical(p, width)
+        return self._kernels.reflect_vertical(p)
 
-    def rotate(self, p, corner, width):
+    def rotate(self, p, corner):
         self.calls["rotate"] += 1
-        return self._kernels.rotate(p, corner, width)
+        return self._kernels.rotate(p, corner)
 
     def compose(self, p, q):
         self.calls["compose"] += 1
@@ -375,12 +377,11 @@ class _CountingOps:
 
 
 def _run_engine(kernels, bases, generators, bound):
-    """The engine's raw members for values, as the constructors run it: a
-    spatial run counts flat points, its level count to a column."""
-    width = getattr(bases[0], "levels", 1)
-    raw = _saturate([b._raw for b in bases], [g._raw for g in generators], bound * width,
-                    kernels, width)
-    return set(raw), bound * width, width
+    """The engine's raw members for values, and its bound, as the
+    constructors run it: a spatial run counts flat points."""
+    flat_bound = bound * getattr(bases[0], "levels", 1)
+    raw = _saturate([b._raw for b in bases], [g._raw for g in generators], flat_bound, kernels)
+    return set(raw), flat_bound
 
 
 def _shape(x):
@@ -392,8 +393,8 @@ class _Orbits:
     """Orbits of raw pairs under reflection R and involution I, and the
     in-bound compose and tensor orbits of a raw member set."""
 
-    def __init__(self, members, bound, kernels, width):
-        self.r = {x: kernels.reflect_vertical(x, width) for x in members}
+    def __init__(self, members, bound, kernels):
+        self.r = {x: kernels.reflect_vertical(x) for x in members}
         self.i = {x: kernels.involution(x) for x in members}
         keys = kernels.keys
         self.tensors = {
@@ -416,16 +417,16 @@ class _Orbits:
         return frozenset({(p, q), (r[p], r[q]), (i[q], i[p]), (r[i[q]], r[i[p]])})
 
 
-def _compose_cover(members, bound, kernels, width, bases):
+def _compose_cover(members, bound, kernels, bases):
     """A test for raw compose pairs (p bottom, q top) whose result follows
     from smaller pairs, built from tensor over all member pairs: an empty
-    interface, an identity base (a base with one column in each row) beside
-    a member on either side, a bottom that is a tensor of two nonempty
-    members, one with no upper points, a top that is one with a factor
-    with no lower points, or an interface that both sides split at the
-    same position into members."""
+    interface, an identity base (a base with one point, or one column of
+    levels, in each row) beside a member on either side, a bottom that is a
+    tensor of two nonempty members, one with no upper points, a top that is
+    one with a factor with no lower points, or an interface that both sides
+    split at the same position into members."""
     upper_splits, lower_splits = defaultdict(set), defaultdict(set)
-    identities = {e._raw for e in bases if _shape(e._raw) == (width, width)}
+    identities = {e._raw for e in bases if e.upper_points == e.lower_points == 1}
     beside_identity = identities & members
     upper_one_row, lower_one_row = set(), set()
     for p in members:
@@ -479,7 +480,7 @@ def _compose_cover(members, bound, kernels, width, bases):
             (2_343, 215, 2_632, 630, 1_260, 2_068), id="col8",
         ),
         pytest.param(
-            _Plain, spatial_base_partitions(2), [lift_to_levels(FORK, 2)], 6,
+            _Spatial, spatial_base_partitions(2), [lift_to_levels(FORK, 2)], 6,
             (1_275, 6_194, 1_401, 396, 792, 1_078), id="sp6",
         ),
         # {fork} @7: a larger run, where the one-row factor law saves most.
@@ -498,7 +499,7 @@ def test_engine_work_on_the_generate_jobs(kernels, bases, generators, bound, wor
     # orbit once. Work is members / compose / tensor / involution / reflect /
     # rotate.
     counting = _CountingOps(kernels)
-    members, _, _ = _run_engine(counting, bases, generators, bound)
+    members, _ = _run_engine(counting, bases, generators, bound)
     count, *calls = work
     assert len(members) == count
     assert counting.calls == Counter(
@@ -517,19 +518,19 @@ def test_one_evaluation_per_orbit():
         (_Plain, [IDENTITY, PAIR], [Partition([], [1, 2])], 6),
         (_Plain, [IDENTITY, PAIR], [Partition([1], [2])], 6),
         (_Colored, colored_base_partitions(), [], 5),
-        (_Plain, spatial_base_partitions(2), [lift_to_levels(FORK, 2)], 4),
+        (_Spatial, spatial_base_partitions(2), [lift_to_levels(FORK, 2)], 4),
     ):
         kind = type(bases[0]).__name__
         counting = _CountingOps(kernels)
-        members, flat_bound, width = _run_engine(counting, bases, gens, bound)
-        orbits = _Orbits(members, flat_bound, kernels, width)
+        members, flat_bound = _run_engine(counting, bases, gens, bound)
+        orbits = _Orbits(members, flat_bound, kernels)
         tensors = Counter(orbits.of_tensor(p, q) for p, q in counting.pairs["tensor"])
         composes = Counter(orbits.of_compose(p, q) for p, q in counting.pairs["compose"])
         assert set(tensors) == orbits.tensors, kind
         assert set(tensors.values()) == {1}, kind
         assert set(composes) <= orbits.composes, kind
         assert set(composes.values()) == {1}, kind
-        covered = _compose_cover(members, flat_bound, kernels, width, bases)
+        covered = _compose_cover(members, flat_bound, kernels, bases)
         for orbit in orbits.composes - set(composes):
             assert any(covered(p, q) for p, q in orbit), (kind, orbit)
 
@@ -563,14 +564,17 @@ _NC6_CALLS = (6_194, 1_401, 396, 792, 1_078)
 
 def test_engine_calls_each_operation_from_closure_module():
     # The benchmark's traced run counts these calls by their direct caller
-    # and by the function's name in `ops` or `variants`: the spatial engine
-    # runs the plain kernels of `ops`, the colored one those of `variants`.
+    # and by the function's name in `ops` or `variants`: the plain engine
+    # runs the kernels of `ops`, the colored and spatial ones those of
+    # `variants`.
     plain = ("compose", "tensor", "involution", "reflect_vertical", "rotate")
-    colored = tuple(f"colored_{op}" for op in ("compose", "tensor", "involution", "reflect", "rotate"))
+    variant_ops = ("compose", "tensor", "involution", "reflect", "rotate")
+    colored = tuple(f"colored_{op}" for op in variant_ops)
+    spatial = tuple(f"spatial_{op}" for op in variant_ops)
     for module, names, counts, construct, args in (
         ("ops", plain, _NC6_CALLS, construct_closure, ([FORK, IDENTITY, PAIR], 6)),
         ("variants", colored, (215, 2_632, 630, 1_260, 2_068), construct_colored_closure, ([], 8)),
-        ("ops", plain, _NC6_CALLS, construct_spatial_closure, ([lift_to_levels(FORK, 2)], 6)),
+        ("variants", spatial, _NC6_CALLS, construct_spatial_closure, ([lift_to_levels(FORK, 2)], 6)),
     ):
         calls = _calls_from_closure(construct, *args)
         assert {name: calls[module, name] for name in names} == dict(zip(names, counts))
@@ -692,3 +696,14 @@ def test_closure_set_fields_are_read_only():
     with pytest.raises(BoundError):
         c.contains_within_bound(Partition(range(10), range(10)))
     assert c.contains_within_bound(FORK)
+
+
+def test_closure_set_survives_pickle_and_copy():
+    # `ClosureSet` is built in `__new__`, which takes arguments, so pickling
+    # must pass them back to it.
+    c = construct_closure([FORK], 4)
+    for twin in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+        assert (twin.bound, twin.generators, twin.members) == (c.bound, c.generators, c.members)
+        assert twin.members_of_shape(1, 3) == c.members_of_shape(1, 3)
+        with pytest.raises(VariantMismatchError):
+            twin.contains_within_bound(lift_to_levels(FORK, 1))

@@ -1,7 +1,6 @@
 import random
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,9 @@ from partcat import (
     ColorMismatchError,
     ColoredPartition,
     EmptyRowError,
+    FreeWord,
     IDENTITY,
+    InvolutiveWord,
     LevelMismatchError,
     LevelStructureError,
     PAIR,
@@ -48,7 +49,7 @@ from partcat import (
 from partcat.ops import _Plain
 from partcat.oracles import compose_via_dfs
 from partcat.textio import parse_spatial, render_spatial, spatial_from_json
-from partcat.variants import _Colored
+from partcat.variants import _Colored, _Spatial
 
 from helpers import (
     random_colored,
@@ -423,21 +424,21 @@ def test_spatial_rotate_moves_whole_columns():
 
 
 def _kernel_cases(rng):
-    """(wrap, kernels, width, public operations, p, q) for each variant: a
-    random value p and a random q whose lower row fits p's upper row."""
+    """(kernels, public operations, p, q) for each variant: a random value p
+    and a random q whose lower row fits p's upper row."""
     p, q = random_composable_pair(rng, 10)
     plain = (involution, reflect_vertical, rotate, tensor, compose)
-    yield Partition._from_raw, _Plain, 1, plain, p, q
+    yield _Plain, plain, p, q
     colors = [rng.choice((WHITE, BLACK)) for _ in range(p.size + q.upper_count)]
     cp = ColoredPartition(p, colors[: p.upper_count], colors[p.upper_count : p.size])
     cq = ColoredPartition(q, colors[p.size :], cp.upper_colors)
     colored = (colored_involution, colored_reflect, colored_rotate, colored_tensor, colored_compose)
-    yield ColoredPartition._from_raw, _Colored, 1, colored, cp, cq
+    yield _Colored, colored, cp, cq
     m = rng.choice((2, 3))
     sp = random_spatial(rng, levels=m, max_points=5)
     sq = random_spatial(rng, levels=m, k=rng.randint(0, 3), l=sp.upper_points)
     spatial = (spatial_involution, spatial_reflect, spatial_rotate, spatial_tensor, spatial_compose)
-    yield partial(SpatialPartition._from_raw, m), _Plain, m, spatial, sp, sq
+    yield _Spatial, spatial, sp, sq
 
 
 def test_kernels_match_public_operations():
@@ -447,24 +448,25 @@ def test_kernels_match_public_operations():
     # the spatial moves match a point-by-point construction per level.
     rng = random.Random(16)
     for _ in range(300):
-        for wrap, kernels, width, public, p, q in _kernel_cases(rng):
+        for kernels, public, p, q in _kernel_cases(rng):
             inv, refl, rot, tens, comp = public
+            wrap = type(p)._from_raw
             x, y = p._raw, q._raw
             assert wrap(kernels.involution(x)) == inv(p)
-            assert wrap(kernels.reflect_vertical(x, width)) == refl(p)
+            assert wrap(kernels.reflect_vertical(x)) == refl(p)
             for corner in CORNERS:
                 if p.upper_points if corner.startswith("top") else p.lower_points:
-                    assert wrap(kernels.rotate(x, corner, width)) == rot(p, corner)
+                    assert wrap(kernels.rotate(x, corner)) == rot(p, corner)
             assert wrap(kernels.tensor(x, y)) == tens(p, q)
             assert wrap(kernels.tensor(y, x)) == tens(q, p)
             assert wrap(kernels.compose(x, y)) == comp(p, q)
             assert Partition._from_raw(_Plain.compose(x, y)) == compose_via_dfs(
                 Partition._from_raw(x[:2]), Partition._from_raw(y[:2])
             )
-            if width > 1:
-                assert wrap(kernels.reflect_vertical(x, width)) == _reflected_by_levels(p)
+            if kernels is _Spatial:
+                assert wrap(kernels.reflect_vertical(x)) == _reflected_by_levels(p)
                 if p.upper_points:
-                    assert wrap(kernels.rotate(x, "top-left", width)) == _top_left_by_levels(p)
+                    assert wrap(kernels.rotate(x, "top-left")) == _top_left_by_levels(p)
 
 
 def _one_row(rng, like, upper):
@@ -486,7 +488,7 @@ def test_one_row_factor_law_on_colored_and_spatial_values():
     # tests/test_ops.py checks it on plain values.
     rng = random.Random(17)
     for _ in range(300):
-        for _, _, _, public, p, q in _kernel_cases(rng):
+        for _, public, p, q in _kernel_cases(rng):
             if type(p) is Partition:
                 continue
             tens, comp = public[3:]
@@ -594,6 +596,37 @@ def test_value_fields_are_read_only():
                 setattr(value, name, 5)
         assert {name: getattr(value, name) for name in fields} == before
     assert involution(p) == Partition([1, 2], [1, 3, 3])
+
+
+def test_a_second_init_call_changes_nothing():
+    # Each class builds its value in `__new__`, so calling `__init__` again
+    # with other arguments leaves the value as it was: its repr (for a
+    # closure, its bound and member count), its hash and its set membership.
+    p = Partition([1], [1, 1])
+    closure = construct_closure([p], 4)
+    count = len(closure)
+    for value, args in (
+        (p, ([1, 2], [2, 1])),
+        (ColoredPartition(p, "w", "bw"), (Partition([1, 2], []), "wb", "")),
+        (lift_to_levels(p, 2), (3, Partition([1, 2, 3], [1, 2, 3]))),
+        (FreeWord(((1, 1),)), (((2, -1),),)),
+        (InvolutiveWord((1, 2)), ((3,),)),
+        (closure, (100, [], [], Partition)),
+    ):
+        before, held = (repr(value), hash(value)), {value}
+        value.__init__(*args)
+        assert (repr(value), hash(value)) == before, before
+        assert value in held, before
+    assert (closure.bound, len(closure), len(closure.members)) == (4, count, count)
+
+
+def test_spatial_equality_covers_levels_and_class():
+    flat = Partition([1, 2], [1, 2])
+    one, two = SpatialPartition(1, flat), SpatialPartition(2, flat)
+    assert one != two
+    assert len({one, two}) == 2 and one not in {two} and two not in {one}
+    assert one != flat and flat != one and flat not in {one}
+    assert one == SpatialPartition(1, flat) and one in {SpatialPartition(1, flat)}
 
 
 def test_pickle_recomputes_the_hash():
