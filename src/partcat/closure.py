@@ -90,64 +90,61 @@ a lower point. Any one corner would do.
 
 Of the compose pairs left, the engine skips those whose result the tensor
 and identity laws give from smaller pairs. Orbits are popped smallest size
-first. Each member has a split record, the set splits[z] of the upper
-point counts i at which z splits into a tensor of two members, each with
-an upper point; z's lower row splits as its I-image's upper row does. The
-engine also gives the identity bases, those with as many upper as lower
-points, a column flag, and has a one-row flag per member. Every evaluated
-z = tensor(y, q) writes its record to the whole orbit of z at once,
-following R z == tensor(R q, R y) and I z == tensor(I y, I q):
+first. Each member z has one split mask, splits[z]: bit i says that z is a
+tensor of two nonempty members, the left one with i upper points, so for z
+with k upper points bits 0 and k say that a factor has no upper points;
+z's lower row splits as its I-image's upper row does. The mask -1, which
+has every bit and which -1 | m keeps, says that z is an identity base (one
+with as many upper as lower points) or a tensor of one and a member. Every
+evaluated z = tensor(y, q) writes to the whole orbit of z at once,
+following R z == tensor(R q, R y) and I z == tensor(I y, I q): -1 to all
+four when y or q is an identity base, else, when both have points, bit
+y.upper_points to z, q.upper_points to R z, y.lower_points to I z and
+q.lower_points to RI z.
 
-- when y and q both have upper points, bit y.upper_points to z and bit
-  q.upper_points to R z; else, when both have points, the one-row flag to
-  z and R z;
-- when both have lower points, bit y.lower_points to I z and bit
-  q.lower_points to RI z; else, when both have points, the one-row flag to
-  I z and RI z;
-- when y or q is an identity base, the column flag to all four.
-
-A compose pair (p bottom, q top) is skipped when
+A compose pair (p bottom, q top) with n interface points is skipped when
 
 1. the interface is empty, so a member with no upper points is never a
    bottom and one with no lower points never a top;
-2. p or q has the column flag: flagged members are never partners;
-3. splits[p] & splits[I q] != 0;
-4. p or I q has the one-row flag.
+2. the mask test holds: splits[p] or splits[I q] has bit 0 or bit n, or
+   splits[p] & splits[I q] != 0.
 
-This is exact too. Every record holds in the final member set M: bit i of
-splits[z] means z == tensor(z1, z2) with z1, z2 in M, z1 with i upper
-points and z2 with at least one; the column flag means z is an identity
-base e, or tensor(e, w) or tensor(w, e) with w in M; the one-row flag
-means z == tensor(w, l) or tensor(l, w) with w, l in M, l with points but
-none upper. Records come from evaluated
-tensors of members, and each write follows the two laws above, with
-R e == I e == e, inside M, which is closed under R and I. Now show, by
-induction on p.size + q.size, that compose(p, q) is in M for every
-composable pair of members whose result fits the bound. If the pair the
-engine ran in its orbit was composed, the orbit argument above applies.
-Otherwise a rule held for the pair the engine ran, when the later of its
-two orbits was processed, and records only grow:
+This is exact too. Every mask holds in the final member set M: bit i of
+splits[z] means z == tensor(z1, z2) with z1, z2 nonempty members of M, z1
+with i upper points, and -1 means z is an identity base e, or tensor(e, w)
+or tensor(w, e) with w in M. Masks come from evaluated tensors of members,
+and each write follows the two laws above, with R e == I e == e, inside M,
+which is closed under R and I. Now show, by induction on p.size + q.size,
+that compose(p, q) is in M for every composable pair of members whose
+result fits the bound. If the pair the engine ran in its orbit was
+composed, the orbit argument above applies. Otherwise a rule held for the
+pair the engine ran, when the later of its two orbits was processed, and
+masks only grow:
 
 1. compose(p, q) == tensor(q, p), a tensor within the bound, and tensor
    pairs are never skipped.
-2. If p is an identity base the result is q, and if q is one it is p. If
-   p == tensor(e, p'), the identity column carries q's first lower point
-   straight down, so compose(p, q) == tl(compose(p', bl q)): the pair
-   (p', bl q) has two points fewer and a result of the same size, and M is
-   closed under tl and bl. p == tensor(p', e) is its mirror image under R,
-   through tr and br; q == tensor(e, q') gives bl(compose(tl p, q')), and
-   q == tensor(q', e) its mirror image.
-3. With p == tensor(p1, p2) and q == tensor(q1, q2) split at the same
-   interface position, compose(p, q) == tensor(compose(p1, q1),
-   compose(p2, q2)). Both pairs are smaller and their results are no
-   larger than compose(p, q), so both are in M, and so is their tensor.
-4. The points of l take no part in the composite: p == tensor(w, l) gives
-   compose(p, q) == tensor(compose(w, q), l), and the pair (w, q) is
-   smaller, with a result no larger, so it is in M, and so is the tensor.
-   p == tensor(l, w) is alike. If I q has the flag, q == tensor(w, u) or
-   tensor(u, w) with u in M, with points but none lower, and
-   compose(p, q) == tensor(compose(p, w), u) or its mirror. l and u must
-   have points: tensor(e, w) == w for the empty partition e.
+2. The mask test holds in one of three cases.
+   - A mask is -1, the identity column. If p is an identity base the
+     result is q, and if q is one it is p. If p == tensor(e, p'), the
+     identity column carries q's first lower point straight down, so
+     compose(p, q) == tl(compose(p', bl q)): the pair (p', bl q) has two
+     points fewer and a result of the same size, and M is closed under tl
+     and bl. p == tensor(p', e) is its mirror image under R, through tr
+     and br; q == tensor(e, q') gives bl(compose(tl p, q')), and
+     q == tensor(q', e) its mirror image.
+   - The masks share a bit i, the interchange law. With
+     p == tensor(p1, p2) and q == tensor(q1, q2) split at the same
+     interface position i, compose(p, q) == tensor(compose(p1, q1),
+     compose(p2, q2)). All four factors have points, so both pairs are
+     smaller, and their results are no larger than compose(p, q), so both
+     are in M, and so is their tensor.
+   - A mask has an end bit, a one-row factor: the interchange law with the
+     empty partition o, as q == tensor(q, o) == tensor(o, q). Bit n of
+     splits[p] gives p == tensor(w, l), l with points but none upper, so
+     compose(p, q) == tensor(compose(w, q), compose(l, o)), which is
+     tensor(compose(w, q), l). The pair (w, q) is smaller, as l has
+     points, with a result no larger, so it is in M, and so is the tensor.
+     Bit 0, and an end bit of splits[I q], are alike.
 
 The other pairs of the orbit follow by R and I. Colored identities have
 one color and spatial ones are lifted, so the identity law holds for every
@@ -184,15 +181,21 @@ class ClosureSet:
 
     __slots__ = ("_bound", "_generators", "_members", "_type", "_by_shape")
 
-    def __new__(cls, bound, generators, members, value_type):
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("a ClosureSet is built by construct_closure, "
+                        "construct_colored_closure or construct_spatial_closure")
+
+    @classmethod
+    def _from_members(cls, bound, generators, members, value_type):
+        # Internal: the set of a saturated run, whose members fit the bound.
         c = object.__new__(cls)
         c._bound, c._generators, c._type = bound, tuple(generators), value_type
         c._members = frozenset(members)
         c._by_shape = None  # (upper points, lower points) -> members, built on first use
         return c
 
-    def __getnewargs__(self):  # pickling calls __new__ with these
-        return self._bound, self._generators, self._members, self._type
+    def __reduce__(self):
+        return self._from_members, (self._bound, self._generators, self._members, self._type)
 
     # Read-only, so the queries' bound checks always hold for the member set.
     bound = property(attrgetter("_bound"))
@@ -259,24 +262,17 @@ def _saturate(bases, generators, bound, kernels):
 
     Sizes and `bound` count block-vector points. The bases that fit the
     bound are added first, then the generators; the bases with as many upper
-    as lower points, which the pairs have not, are the identity bases. Each
-    R/I orbit enters the worklist whole when its first member is found, and
-    is processed once, when popped. Each evaluated tensor writes its split
-    record to its result's whole orbit. The kernels are called directly, so
-    a profile credits each call to this module, for the benchmark's counters.
+    as lower points are the identity bases. Each R/I orbit enters the
+    worklist whole when its first member is found, and is processed once,
+    when popped. The kernels are called directly, so a profile credits each
+    call to this module, for the benchmark's counters.
     """
     members = {}  # raw member -> index into the lists below
     stacks = [[] for _ in range(bound + 1)]  # unpopped orbits by size
     # By member index: mates holds the indices of the member and of its R, I
-    # and RI images; bit i of splits says the member is a tensor of two
-    # members, the left one with i upper points and each with one at least
-    # (the lower-row splits are those of the I-image); column says it is an
-    # identity base, or a tensor of one and a member; one_row says it is a
-    # tensor of two nonempty members, one with no upper points.
+    # and RI images, and splits its split mask, as the module docstring says.
     mates = []
     splits = []
-    column = []
-    one_row = []
     involution = kernels.involution
     reflect = kernels.reflect_vertical
 
@@ -291,8 +287,6 @@ def _saturate(bases, generators, bound, kernels):
                 if i == len(mates):
                     mates.append((i, frame[pos ^ 1], frame[pos ^ 2], frame[pos ^ 3]))
                     splits.append(0)
-                    column.append(False)
-                    one_row.append(False)
             stacks[len(x[1])].append(orbit)
 
     identity = set()  # indices of the identity bases
@@ -301,7 +295,7 @@ def _saturate(bases, generators, bound, kernels):
             add(b)
             if b[0] == len(b[1]) - b[0]:
                 identity.add(members[b])
-                column[members[b]] = True  # R and I fix it
+                splits[members[b]] = -1  # R and I fix it
     for g in generators:
         add(g)
 
@@ -345,24 +339,19 @@ def _saturate(bases, generators, bound, kernels):
                         z = tensor(y, q)
                         add(z)
                         k, rk, ik, rik = mates[members[z]]
-                        if yu and qu:
+                        if beside or j in identity:
+                            splits[k] = splits[rk] = splits[ik] = splits[rik] = -1
+                        elif sx and s:
                             splits[k] |= 1 << yu
                             splits[rk] |= 1 << qu
-                        elif sx and s:
-                            one_row[k] = one_row[rk] = True
-                        if yl and ql:
                             splits[ik] |= 1 << yl
                             splits[rik] |= 1 << ql
-                        elif sx and s:
-                            one_row[ik] = one_row[rik] = True
-                        if beside or j in identity:
-                            column[k] = column[rk] = column[ik] = column[rik] = True
 
-        # Compose: R-classes; y is the bottom. A member beside an identity
-        # column is never a partner, nor one whose interface is empty, nor a
-        # tensor with a factor that has points only away from the interface;
-        # and a pair whose interface splits alike on both sides is not composed.
-        if column[a]:
+        # Compose: R-classes; y is the bottom. A pair runs when its interface
+        # is nonempty and the mask test fails: neither mask has an end bit
+        # (0 or yu, as the top's I-image has yu upper points too), and the
+        # two share no bit. A -1 orbit is never a partner.
+        if splits[a] < 0:
             continue
         fixed = ra == a  # R fixes x, and so I x
         for y, i, first in _orbit_steps(x, a, ref, ra, inv, ia, ref_inv, ria):
@@ -370,11 +359,13 @@ def _saturate(bases, generators, bound, kernels):
             if first is not None:
                 if yu < sx:
                     as_top[keys(y)[1], yu].append((y, mates[i][2], first))
-            elif yu and not one_row[i]:
-                key, mask = keys(y)[0], splits[i]
+                continue
+            ends = 1 | 1 << yu
+            if yu and not splits[i] & ends:
+                key, mask = keys(y)[0], splits[i] | ends
                 for tu in range(bound - sx + yu + 1):
                     for q, j, q_first in as_top.get((key, tu), ()):
-                        if (q_first or not fixed) and not (mask & splits[j] or one_row[j]):
+                        if (q_first or not fixed) and not splits[j] & mask:
                             z = compose(y, q)
                             if z not in members:  # most are known; skip the call
                                 add(z)
@@ -412,7 +403,7 @@ def _construct(generators, bound, value_type, bases, kernels, levels=1):
         if g.size > bound:
             raise BoundError(f"generator of size {g.size} exceeds the bound {bound}")
     raw = _saturate([b._raw for b in bases], [g._raw for g in generators], bound * levels, kernels)
-    return ClosureSet(bound, generators, map(value_type._from_raw, raw), value_type)
+    return ClosureSet._from_members(bound, generators, map(value_type._from_raw, raw), value_type)
 
 
 def construct_closure(generators: Iterable[Partition], bound: int) -> ClosureSet:

@@ -155,12 +155,3 @@ IDENTITY = Partition((1,), (1,))
 
 #: The no-upper/two-lower single-block partition.
 PAIR = Partition((), (1, 1))
-
-
-def kernel_partition(values: Sequence[int]) -> Partition:
-    """Partition with no upper points grouping equal entries of `values`.
-
-    Lower points s and t share a block exactly when values[s] == values[t].
-    """
-    return Partition((), values)
-

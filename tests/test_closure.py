@@ -16,6 +16,7 @@ from partcat import (
     BLACK,
     WHITE,
     BoundError,
+    ClosureSet,
     ColoredPartition,
     EmptyRowError,
     IDENTITY,
@@ -696,6 +697,15 @@ def test_closure_set_fields_are_read_only():
     with pytest.raises(BoundError):
         c.contains_within_bound(Partition(range(10), range(10)))
     assert c.contains_within_bound(FORK)
+
+
+def test_only_the_constructors_build_a_closure_set():
+    # A set built by hand could hold members over its bound, or a value type
+    # its queries do not know, and still report itself saturated.
+    for args in ((3, [], [Partition([1, 2, 3], [1])], Partition), (3, [], [], int)):
+        with pytest.raises(TypeError, match="construct_closure, construct_colored_closure "
+                                            "or construct_spatial_closure"):
+            ClosureSet(*args)
 
 
 def test_closure_set_survives_pickle_and_copy():

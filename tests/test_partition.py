@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from partcat import IDENTITY, PAIR, Partition, canonical_labels, kernel_partition
+from partcat import IDENTITY, PAIR, Partition, canonical_labels
 
 from helpers import random_labels, random_partition
 from oracles import canonical_labels_reference
@@ -44,7 +44,6 @@ def test_rejects_bad_labels():
         lambda: Partition(5),
         lambda: Partition([1], None),
         lambda: Partition(None, [1]),
-        lambda: kernel_partition(5),
         lambda: canonical_labels(5),
     ):
         with pytest.raises(ValueError):
@@ -108,14 +107,6 @@ def test_size():
     assert Partition([1, 1, 2], [1, 3, 3, 2]).size == 7
     assert Partition([], []).size == 0
     assert IDENTITY.size == 2
-
-
-def test_kernel_partition():
-    p = kernel_partition((1, 2, 1, 3, 2, 1, 4, 1, 1, 3, 1, 4))
-    assert p.upper_count == 0 and p.lower_count == 12
-    assert p.blocks == (1, 2, 1, 3, 2, 1, 4, 1, 1, 3, 1, 4)
-    assert kernel_partition(()) == Partition([], [])
-    assert kernel_partition((5, 5, 5)) == Partition([], [1, 1, 1])
 
 
 def test_hashing_and_sets():

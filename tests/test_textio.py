@@ -111,8 +111,13 @@ def test_json_shape():
 
 
 def test_unknown_format():
-    with pytest.raises(ValueError):
-        render_partition(Partition([], []), "xml")
+    for render, value in (
+        (render_partition, Partition([], [])),
+        (render_colored, parse_colored("w:1|w:1")),
+        (render_spatial, parse_spatial("m=2;1,2|1,2")),
+    ):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            render(value, "xml")
 
 
 def test_colored_roundtrip():
