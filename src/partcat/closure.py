@@ -350,9 +350,7 @@ def _saturate(bases, generators, bound, kernels):
         # Compose: R-classes; y is the bottom. A pair runs when its interface
         # is nonempty and the mask test fails: neither mask has an end bit
         # (0 or yu, as the top's I-image has yu upper points too), and the
-        # two share no bit. A -1 orbit is never a partner.
-        if splits[a] < 0:
-            continue
+        # two share no bit.
         fixed = ra == a  # R fixes x, and so I x
         for y, i, first in _orbit_steps(x, a, ref, ra, inv, ia, ref_inv, ria):
             yu = y[0]

@@ -1,10 +1,15 @@
-"""Text and JSON encodings for partitions and their variants.
+"""Text parsing and rendering for partitions and their variants; JSON rendering.
 
 Plain partitions read `<upper>|<lower>` with comma-separated decimal labels
 and either side possibly empty, e.g. `1,2|2,1`, `|1,1`, `|`. Colored
 partitions prefix each side with its color string: `wb:1,2|w:2`. Spatial
 partitions carry the level count up front: `m=2;1,2,3,4|4,3,2,1`. Parsing
 always normalizes.
+
+JSON is an output format: `*_to_json` gives the fields and `render_*(x,
+"json")` the text. To read it back, pass the fields of `json.loads` to the
+public constructors, e.g. `Partition(o["upper"], o["lower"])`, which check
+them.
 """
 
 import json
@@ -123,42 +128,6 @@ def _rows_to_text(raw) -> tuple[str, str]:
     return ",".join(map(str, b[:k])), ",".join(map(str, b[k:]))
 
 
-# The JSON types a field may hold, with the name used in error messages.
-_ARRAY = ((list,), "an array")
-_COLORS = ((str, list), "a string or an array")
-_INTEGER = ((int,), "an integer")
-
-
-def _json_fields(obj, **fields) -> list:
-    """The values of `fields` in a JSON object, given parsed or as text.
-
-    Each field maps to the JSON types its value may have; `true` and
-    `false` are not integers.
-    """
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}", offset=e.pos) from None
-        except (RecursionError, ValueError) as e:  # too deep, or an over-long number
-            raise ParseError(f"invalid JSON: {e}") from None
-    if not isinstance(obj, dict):
-        raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
-    values = []
-    for key, (types, expected) in fields.items():
-        if key not in obj:
-            raise ParseError(f"missing key {key!r}")
-        value = obj[key]
-        if type(value) not in types:
-            raise ParseError(f"{key!r} must be {expected}, got {type(value).__name__}")
-        values.append(value)
-    return values
-
-
-def partition_from_json(obj) -> Partition:
-    return Partition(*_json_fields(obj, upper=_ARRAY, lower=_ARRAY))
-
-
 def _parse_colored_side(text: str, start: int, end: int):
     colon = text.find(":", start, end)
     if colon < 0:
@@ -201,13 +170,6 @@ def colored_to_json(cp: ColoredPartition) -> dict:
     return out
 
 
-def colored_from_json(obj) -> ColoredPartition:
-    upper, lower, upper_colors, lower_colors = _json_fields(
-        obj, upper=_ARRAY, lower=_ARRAY, upper_colors=_COLORS, lower_colors=_COLORS
-    )
-    return ColoredPartition(Partition(upper, lower), upper_colors, lower_colors)
-
-
 def parse_spatial(text: str) -> SpatialPartition:
     """Parse the `m=<levels>;<flattened partition>` format."""
     check_type(text, str, "the parsed text", ParseError)
@@ -217,13 +179,12 @@ def parse_spatial(text: str) -> SpatialPartition:
     if semi < 0:
         raise ParseError("expected ';' after the level count", offset=len(text))
     levels_text = text[2:semi].strip()
-    if (
-        not (levels_text.isascii() and levels_text.isdigit())
-        or _read_int(levels_text, "level count", 2) < 1
-    ):
+    levels = 0
+    if levels_text.isascii() and levels_text.isdigit():
+        levels = _read_int(levels_text, "level count", 2)
+    if levels < 1:
         raise ParseError(f"expected a positive level count, got {levels_text!r}", offset=2)
-    flattened = _parse_rows(text, semi + 1)
-    return SpatialPartition(int(levels_text), flattened)
+    return SpatialPartition(levels, _parse_rows(text, semi + 1))
 
 
 def render_spatial(sp: SpatialPartition, fmt: str = "text") -> str:
@@ -240,8 +201,3 @@ def spatial_to_json(sp: SpatialPartition) -> dict:
     out = {"levels": sp.levels}
     out.update(_rows_to_json(sp._raw))
     return out
-
-
-def spatial_from_json(obj) -> SpatialPartition:
-    levels, upper, lower = _json_fields(obj, levels=_INTEGER, upper=_ARRAY, lower=_ARRAY)
-    return SpatialPartition(levels, Partition(upper, lower))

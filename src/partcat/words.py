@@ -82,6 +82,17 @@ class InvolutiveWord(_Word):
 _TOKEN = re.compile(r"x([0-9]+)(\^-1)?")
 
 
+def _letter(token: str, offset) -> tuple[int, int]:
+    """The letter of one token, or a ParseError at `offset` if it is none."""
+    m = _TOKEN.fullmatch(token)
+    gen = _read_int(m.group(1), "generator index", offset) if m else 0
+    if gen < 1:
+        raise ParseError(
+            f"expected a token like 'x2' or 'x2^-1', got {token!r}", offset=offset
+        )
+    return gen, -1 if m.group(2) else 1
+
+
 def _scan_word(text: str) -> FreeWord:
     """Read the tokens of a word one by one.
 
@@ -91,13 +102,7 @@ def _scan_word(text: str) -> FreeWord:
     offset = 0
     for token in text.split():
         offset = text.index(token, offset)
-        m = _TOKEN.fullmatch(token)
-        gen = _read_int(m.group(1), "generator index", offset) if m else 0
-        if gen < 1:
-            raise ParseError(
-                f"expected a token like 'x2' or 'x2^-1', got {token!r}", offset=offset
-            )
-        letters.append((gen, -1 if m.group(2) else 1))
+        letters.append(_letter(token, offset))
         offset += len(token)
     return FreeWord(tuple(letters))
 
@@ -105,15 +110,11 @@ def _scan_word(text: str) -> FreeWord:
 class _LetterOfToken(dict):
     """The letters of the distinct tokens seen so far, each read on first use.
 
-    Raises ValueError for a token that is not a letter.
+    Raises ParseError, with no offset, for a token that is not a letter.
     """
 
     def __missing__(self, token):
-        m = _TOKEN.fullmatch(token)
-        gen = int(m.group(1)) if m else 0
-        if gen < 1:
-            raise ValueError(token)
-        self[token] = letter = (gen, -1 if m.group(2) else 1)
+        self[token] = letter = _letter(token, None)
         return letter
 
 
@@ -128,7 +129,7 @@ def parse_word(text: str) -> FreeWord:
     check_type(text, str, "the parsed text", ParseError)
     try:
         letters = tuple(map(_LetterOfToken().__getitem__, text.split()))
-    except ValueError:
+    except ParseError:
         return _scan_word(text)
     return FreeWord(letters)
 

@@ -709,8 +709,8 @@ def test_only_the_constructors_build_a_closure_set():
 
 
 def test_closure_set_survives_pickle_and_copy():
-    # `ClosureSet` is built in `__new__`, which takes arguments, so pickling
-    # must pass them back to it.
+    # `ClosureSet.__new__` only raises, so pickling and copying must go
+    # through `__reduce__` to `ClosureSet._from_members`.
     c = construct_closure([FORK], 4)
     for twin in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
         assert (twin.bound, twin.generators, twin.members) == (c.bound, c.generators, c.members)

@@ -48,7 +48,7 @@ from partcat import (
 )
 from partcat.ops import _Plain
 from partcat.oracles import compose_via_dfs
-from partcat.textio import parse_spatial, render_spatial, spatial_from_json
+from partcat.textio import parse_spatial, render_spatial
 from partcat.variants import _Colored, _Spatial
 
 from helpers import (
@@ -305,11 +305,9 @@ def test_bool_is_not_a_level_count_or_bound():
         SpatialPartition(True, IDENTITY)
     with pytest.raises(ValueError):
         lift_to_levels(IDENTITY, True)
-    # `true` used to be read as one level and rendered as "m=True;1|1",
-    # which parse_spatial rejects; integer levels round-trip through text.
-    with pytest.raises(ValueError):
-        spatial_from_json('{"levels": true, "upper": [1], "lower": [1]}')
-    sp = spatial_from_json('{"levels": 1, "upper": [1], "lower": [1]}')
+    # A bool level count would render as "m=True;1|1", which parse_spatial
+    # rejects; integer levels round-trip through text.
+    sp = SpatialPartition(1, IDENTITY)
     assert parse_spatial(render_spatial(sp)) == sp
     with pytest.raises(ValueError):
         construct_closure([], True)
