@@ -107,19 +107,27 @@ A compose pair (p bottom, q top) with n interface points is skipped when
 1. the interface is empty, so a member with no upper points is never a
    bottom and one with no lower points never a top;
 2. the mask test holds: splits[p] or splits[I q] has bit 0 or bit n, or
-   splits[p] & splits[I q] != 0.
+   splits[p] & splits[I q] != 0;
+3. the result shape is full: the shape (upper key of q, lower key of p),
+   of point counts or color rows, with k + l points holds B(k + l)
+   members, B the Bell number.
 
-This is exact too. Every mask holds in the final member set M: bit i of
-splits[z] means z == tensor(z1, z2) with z1, z2 nonempty members of M, z1
-with i upper points, and -1 means z is an identity base e, or tensor(e, w)
-or tensor(w, e) with w in M. Masks come from evaluated tensors of members,
-and each write follows the two laws above, with R e == I e == e, inside M,
-which is closed under R and I. Now show, by induction on p.size + q.size,
-that compose(p, q) is in M for every composable pair of members whose
-result fits the bound. If the pair the engine ran in its orbit was
-composed, the orbit argument above applies. Otherwise a rule held for the
-pair the engine ran, when the later of its two orbits was processed, and
-masks only grow:
+Rule 3 is exact, as a shape of k + l points holds at most B(k + l)
+members, one per set partition of its points, so a full shape holds the
+result. Adding a known member writes nothing, and compose results write no
+mask, so the run is as it would be without rule 3.
+
+Rules 1 and 2 are exact too. Every mask holds in the final member set M:
+bit i of splits[z] means z == tensor(z1, z2) with z1, z2 nonempty members
+of M, z1 with i upper points, and -1 means z is an identity base e, or
+tensor(e, w) or tensor(w, e) with w in M. Masks come from evaluated
+tensors of members, and each write follows the two laws above, with
+R e == I e == e, inside M, which is closed under R and I. Now show, by
+induction on p.size + q.size, that compose(p, q) is in M for every
+composable pair of members whose result fits the bound. If the pair the
+engine ran in its orbit was composed, the orbit argument above applies.
+Otherwise rule 1 or 2 held for the pair the engine ran, when the later of
+its two orbits was processed, and masks only grow:
 
 1. compose(p, q) == tensor(q, p), a tensor within the bound, and tensor
    pairs are never skipped.
@@ -155,6 +163,7 @@ them.
 
 from collections import defaultdict
 from collections.abc import Iterable
+from itertools import accumulate
 from operator import attrgetter
 
 from .errors import BoundError, LevelMismatchError, VariantMismatchError
@@ -275,6 +284,12 @@ def _saturate(bases, generators, bound, kernels):
     splits = []
     involution = kernels.involution
     reflect = kernels.reflect_vertical
+    keys = kernels.keys
+    filled = defaultdict(int)  # shape keys(x) -> number of members of that shape
+    bell, row = [1], [1]  # bell[n] is B(n), by the Bell triangle
+    while len(bell) <= bound:
+        row = list(accumulate(row, initial=row[-1]))
+        bell.append(row[0])
 
     def add(x):
         if x not in members:
@@ -287,6 +302,7 @@ def _saturate(bases, generators, bound, kernels):
                 if i == len(mates):
                     mates.append((i, frame[pos ^ 1], frame[pos ^ 2], frame[pos ^ 3]))
                     splits.append(0)
+                    filled[keys(orbit[pos])] += 1
             stacks[len(x[1])].append(orbit)
 
     identity = set()  # indices of the identity bases
@@ -301,12 +317,12 @@ def _saturate(bases, generators, bound, kernels):
 
     # Processed members: tensor right factors by size as (y, index, first
     # filed of its class, upper points, lower points), and compose tops by
-    # their lower-row interface and upper points as (y, index of its
-    # I-image, first filed), so a run visits only the buckets within the
-    # bound.
+    # their lower-row interface and upper points, so a run visits only the
+    # buckets within the bound, then by their upper key, which with the
+    # bottom's lower key gives the result shape, as (y, index of its
+    # I-image, first filed).
     by_size = defaultdict(list)
-    as_top = defaultdict(list)
-    keys = kernels.keys
+    as_top = defaultdict(dict)
     rotate = kernels.rotate
     tensor = kernels.tensor
     compose = kernels.compose
@@ -348,25 +364,29 @@ def _saturate(bases, generators, bound, kernels):
                             splits[rik] |= 1 << ql
 
         # Compose: R-classes; y is the bottom. A pair runs when its interface
-        # is nonempty and the mask test fails: neither mask has an end bit
-        # (0 or yu, as the top's I-image has yu upper points too), and the
-        # two share no bit.
+        # is nonempty, its result shape is not full, and the mask test fails:
+        # neither mask has an end bit (0 or yu, as the top's I-image has yu
+        # upper points too), and the two share no bit.
         fixed = ra == a  # R fixes x, and so I x
         for y, i, first in _orbit_steps(x, a, ref, ra, inv, ia, ref_inv, ria):
             yu = y[0]
+            key, low = keys(y)
             if first is not None:
                 if yu < sx:
-                    as_top[keys(y)[1], yu].append((y, mates[i][2], first))
+                    as_top[low, yu].setdefault(key, []).append((y, mates[i][2], first))
                 continue
             ends = 1 | 1 << yu
             if yu and not splits[i] & ends:
-                key, mask = keys(y)[0], splits[i] | ends
-                for tu in range(bound - sx + yu + 1):
-                    for q, j, q_first in as_top.get((key, tu), ()):
-                        if (q_first or not fixed) and not splits[j] & mask:
-                            z = compose(y, q)
-                            if z not in members:  # most are known; skip the call
-                                add(z)
+                mask, yl = splits[i] | ends, sx - yu
+                for tu in range(bound - yl + 1):
+                    for top, tops in as_top.get((key, tu), {}).items():
+                        if filled[top, low] == bell[tu + yl]:
+                            continue
+                        for q, j, q_first in tops:
+                            if (q_first or not fixed) and not splits[j] & mask:
+                                z = compose(y, q)
+                                if z not in members:  # most are known; skip the call
+                                    add(z)
 
 
 def _orbit_steps(x, a, mate, b, y, c, y_mate, d):
