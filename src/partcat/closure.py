@@ -22,7 +22,9 @@ absence from the category (and no general decision procedure can exist).
 One engine runs all three variants, on raw members: the hashable tuples
 that the kernel tables `ops._Plain`, `variants._Colored` and
 `variants._Spatial` take, an upper point count and a block vector, then a
-colored member's color rows or a spatial member's level count. A spatial
+colored member's color rows or a spatial member's level count. Each
+constructor passes `_saturate` the table that its value class names as
+`_kernels`, as the public operations of `partcat.ops` read it. A spatial
 member's rows are flattened, m points to a column, so its sizes and the
 bound count flat points. The member dict deduplicates raw members, and a
 value object is built once per member kept, when the run returns.
@@ -168,9 +170,8 @@ from operator import attrgetter
 
 from .errors import BoundError, LevelMismatchError, VariantMismatchError
 from .errors import check_count, check_iterable, check_type
-from .ops import _Plain
 from .partition import IDENTITY, PAIR, Partition
-from .variants import ColoredPartition, SpatialPartition, _Colored, _Spatial
+from .variants import ColoredPartition, SpatialPartition
 from .variants import colored_base_partitions, spatial_base_partitions
 
 _sort_key = attrgetter("sort_key")
@@ -414,13 +415,15 @@ def _checked(generators, value_type):
     return generators
 
 
-def _construct(generators, bound, value_type, bases, kernels, levels=1):
-    """Saturate the raw forms of the values, and make each member kept a value."""
+def _construct(generators, bound, value_type, bases, levels=1):
+    """Saturate the raw forms of the values by the kernel table of
+    `value_type`, and make each member kept a value."""
     check_count(bound, 1, "bound")
     for g in generators:
         if g.size > bound:
             raise BoundError(f"generator of size {g.size} exceeds the bound {bound}")
-    raw = _saturate([b._raw for b in bases], [g._raw for g in generators], bound * levels, kernels)
+    raw = _saturate([b._raw for b in bases], [g._raw for g in generators], bound * levels,
+                    value_type._kernels)
     return ClosureSet._from_members(bound, generators, map(value_type._from_raw, raw), value_type)
 
 
@@ -433,7 +436,7 @@ def construct_closure(generators: Iterable[Partition], bound: int) -> ClosureSet
     result does and does not mean.
     """
     generators = _checked(generators, Partition)
-    return _construct(generators, bound, Partition, [IDENTITY, PAIR], _Plain)
+    return _construct(generators, bound, Partition, [IDENTITY, PAIR])
 
 
 def construct_colored_closure(generators, bound: int) -> ClosureSet:
@@ -443,7 +446,7 @@ def construct_colored_closure(generators, bound: int) -> ClosureSet:
     matching interface colors.
     """
     generators = _checked(generators, ColoredPartition)
-    return _construct(generators, bound, ColoredPartition, colored_base_partitions(), _Colored)
+    return _construct(generators, bound, ColoredPartition, colored_base_partitions())
 
 
 def construct_spatial_closure(generators, bound: int, levels: int | None = None) -> ClosureSet:
@@ -466,4 +469,4 @@ def construct_spatial_closure(generators, bound: int, levels: int | None = None)
     if levels is None:
         raise ValueError("levels is required when no generators are given")
     return _construct(generators, bound, SpatialPartition, spatial_base_partitions(levels),
-                      _Spatial, levels)
+                      levels)

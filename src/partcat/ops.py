@@ -1,15 +1,28 @@
 """Category operations on partitions.
 
 involution, tensor product, composition, the four corner rotations and the
-vertical reflection. All operations are pure, take canonical partitions and
-return canonical partitions; label collisions between the two operands of a
-binary operation are handled internally.
+vertical reflection. All operations are pure, take canonical values and
+return canonical values of the same class; label collisions between the
+two operands of a binary operation are handled internally.
+
+Each operation takes a `Partition`, a `ColoredPartition` or a
+`SpatialPartition`, and runs the kernel table that the value's class names
+as `_kernels`: `_Plain` here, `_Colored` and `_Spatial` in
+`partcat.variants`. The two operands of a binary operation are of one
+class, and spatial ones share a level count.
 """
 
 from array import array
 
-from .errors import EmptyRowError, SizeMismatchError, VariantMismatchError, check_type
-from .partition import Partition, canonical_labels
+from .errors import (
+    ColorMismatchError,
+    EmptyRowError,
+    LevelMismatchError,
+    SizeMismatchError,
+    VariantMismatchError,
+    check_type,
+)
+from .partition import Partition, _Value, canonical_labels
 
 #: Valid `corner` arguments for :func:`rotate`.
 CORNERS = ("top-left", "top-right", "bottom-left", "bottom-right")
@@ -116,6 +129,11 @@ class _Plain:
         return p[0], len(p[1]) - p[0]
 
 
+# Named here, as `partition` is imported before this module; the variants
+# name their tables in their class bodies.
+Partition._kernels = _Plain
+
+
 def check_interface(upper_points: int, lower_points: int):
     """Raise SizeMismatchError unless q's `lower_points` meet p's `upper_points`."""
     if lower_points != upper_points:
@@ -125,33 +143,68 @@ def check_interface(upper_points: int, lower_points: int):
         )
 
 
-def involution(p: Partition) -> Partition:
-    """Swap the upper and lower rows (reflection along the horizontal axis)."""
-    check_type(p, Partition, "an operand", VariantMismatchError)
-    return Partition._from_raw(_Plain.involution(p._raw))
+def _kernels(p):
+    """The kernel table of the value `p`: called before any other attribute
+    of `p` is read, so an operand of another type raises this error."""
+    if not isinstance(p, _Value):
+        raise VariantMismatchError(
+            "an operand must be a Partition, ColoredPartition or SpatialPartition, "
+            f"got {type(p).__name__}"
+        )
+    return p._kernels
 
 
-def tensor(p: Partition, q: Partition) -> Partition:
-    """Concatenate horizontally: upper rows side by side, then lower rows."""
-    check_type(p, Partition, "an operand", VariantMismatchError)
-    check_type(q, Partition, "an operand", VariantMismatchError)
-    return Partition._from_raw(_Plain.tensor(p._raw, q._raw))
+def _pair_kernels(p, q):
+    """The kernel table of `p`, once `q` is a value of its class with its
+    level count, if it has one."""
+    kernels = _kernels(p)
+    check_type(q, type(p), "an operand", VariantMismatchError)
+    levels = getattr(p, "levels", None)
+    if levels != getattr(q, "levels", None):
+        raise LevelMismatchError(f"level counts differ: {levels} versus {q.levels}")
+    return kernels
 
 
-def compose(p: Partition, q: Partition) -> Partition:
+def involution(p):
+    """Swap the upper and lower rows (reflection along the horizontal axis).
+
+    Colors swap rows with their points, order unchanged; a spatial value
+    swaps the rows of every level."""
+    kernels = _kernels(p)
+    return p._from_raw(kernels.involution(p._raw))
+
+
+def tensor(p, q):
+    """Concatenate horizontally: upper rows side by side, then lower rows.
+
+    Color rows concatenate with them; spatial operands share a level count.
+    """
+    kernels = _pair_kernels(p, q)
+    return p._from_raw(kernels.tensor(p._raw, q._raw))
+
+
+def compose(p, q):
     """Stack `q` on top of `p`, gluing q's lower row to p's upper row.
 
-    Requires lower_count(q) == upper_count(p). The glued middle points are
-    identified in one union-find forest; the result keeps q's upper row and
-    p's lower row. Middle components not connected to either surviving row
-    simply disappear (no loop factor is produced). Quasi-linear in the total
+    Requires q.lower_key == p.upper_key: equal interface point counts, else
+    SizeMismatchError, and for colored values equal interface colors, point
+    for point, else ColorMismatchError; spatial operands share a level
+    count, else LevelMismatchError. The glued middle points are identified
+    in one union-find forest; the result keeps q's upper row and p's lower
+    row. Middle components not connected to either surviving row simply
+    disappear (no loop factor is produced). Quasi-linear in the total
     number of points without union by rank: path halving alone bounds n
     unions and finds by O(n log n) (Tarjan & van Leeuwen, J. ACM 1984).
     """
-    check_type(p, Partition, "an operand", VariantMismatchError)
-    check_type(q, Partition, "an operand", VariantMismatchError)
-    check_interface(p.upper_count, q.lower_count)
-    return Partition._from_raw(_Plain.compose(p._raw, q._raw))
+    kernels = _pair_kernels(p, q)
+    if q.lower_key != p.upper_key:
+        check_interface(p.upper_points, q.lower_points)
+        # Keys that differ on equal point counts are color rows.
+        raise ColorMismatchError(
+            f"cannot compose: interface colors {''.join(q.lower_key)!r} "
+            f"of q do not match {''.join(p.upper_key)!r} of p"
+        )
+    return p._from_raw(kernels.compose(p._raw, q._raw))
 
 
 def corner_move(items, k: int, corner: str, width: int):
@@ -178,19 +231,24 @@ def corner_move(items, k: int, corner: str, width: int):
     raise ValueError(f"unknown corner {corner!r}, expected one of {CORNERS}")
 
 
-def rotate(p: Partition, corner: str) -> Partition:
+def rotate(p, corner: str):
     """Move one end point of a row to the matching end of the other row.
 
     `corner` names the point that moves: "top-left" sends the first upper
     point to the front of the lower row, "top-right" the last upper point to
     the end of the lower row; "bottom-left" and "bottom-right" are the
-    inverse moves. Block membership of the moved point is preserved.
+    inverse moves. Block membership of the moved point is preserved. A
+    colored point changes color as it moves; a spatial value moves the
+    whole column of that point, all its levels at once.
     """
-    check_type(p, Partition, "an operand", VariantMismatchError)
-    return Partition._from_raw(_Plain.rotate(p._raw, corner))
+    kernels = _kernels(p)
+    return p._from_raw(kernels.rotate(p._raw, corner))
 
 
-def reflect_vertical(p: Partition) -> Partition:
-    """Reverse both rows (reflection along the vertical axis)."""
-    check_type(p, Partition, "an operand", VariantMismatchError)
-    return Partition._from_raw(_Plain.reflect_vertical(p._raw))
+def reflect_vertical(p):
+    """Reverse both rows (reflection along the vertical axis).
+
+    Every point keeps its color; a spatial value reverses the order of its
+    columns and keeps the level order within each column."""
+    kernels = _kernels(p)
+    return p._from_raw(kernels.reflect_vertical(p._raw))

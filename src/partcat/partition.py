@@ -74,7 +74,8 @@ def canonical_labels(labels: Iterable[int]) -> tuple[int, ...]:
 class _Value:
     """The state of every value class: the raw member that the operation
     kernels take, and its hash. Equal values are those of one class with
-    equal raw members; every public field is a read-only view of `_raw`."""
+    equal raw members; every public field is a read-only view of `_raw`.
+    Each class names the table of kernels on its raw members as `_kernels`."""
 
     __slots__ = ("_raw", "_hash")
 

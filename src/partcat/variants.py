@@ -4,8 +4,10 @@ A colored partition attaches a white/black color to every point of an
 ordinary partition; composition additionally requires the interface color
 strings to agree. A spatial partition stacks an ordinary partition shape on
 m levels; it is stored in flattened form, where the level-j copy of point i
-sits at flat position m*(i-1)+j. Its operations check that the level counts
-agree and run the plain kernels on the flattened form, m points to a column.
+sits at flat position m*(i-1)+j. The operations of `partcat.ops` take both:
+each class names its kernel table as `_kernels`, `_Colored` the plain
+kernels plus the color rows, `_Spatial` the plain kernels on the flattened
+form, m points to a column.
 
 Both classes keep only a raw member, in the base `partition._Value`: a
 colored value its upper count, blocks and two color rows, a spatial value
@@ -16,15 +18,13 @@ read-only views of these.
 from collections.abc import Iterable
 
 from .errors import (
-    ColorMismatchError,
-    LevelMismatchError,
     LevelStructureError,
     VariantMismatchError,
     check_count,
     check_iterable,
     check_type,
 )
-from .ops import _Plain, check_interface, corner_move
+from .ops import _Plain, corner_move
 from .partition import IDENTITY, PAIR, Partition, _Value, canonical_labels
 
 WHITE = "w"
@@ -40,45 +40,6 @@ def _check_color(c):
 def invert_color(c: str) -> str:
     _check_color(c)
     return BLACK if c == WHITE else WHITE
-
-
-class ColoredPartition(_Value):
-    """A partition with a white/black color on every point.
-
-    Colors are given per row, as any iterable of "w"/"b" (a plain string
-    like "wb" works), and must match the row lengths of the base partition.
-    The raw member is (upper count, blocks, upper colors, lower colors).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, base: Partition, upper_colors: Iterable[str], lower_colors: Iterable[str]):
-        check_type(base, Partition, "the base", VariantMismatchError)
-        uc = tuple(check_iterable(upper_colors, "the upper colors"))
-        lc = tuple(check_iterable(lower_colors, "the lower colors"))
-        if len(uc) != base.upper_count or len(lc) != base.lower_count:
-            raise ValueError(
-                f"color strings of lengths {len(uc)}/{len(lc)} do not match "
-                f"rows of lengths {base.upper_count}/{base.lower_count}"
-            )
-        for c in uc + lc:
-            _check_color(c)
-        return cls._from_raw(base._raw + (uc, lc))
-
-    # Views of the raw member; the point counts and the size are those of
-    # the base, and the compose interface is the color string, which fixes
-    # the point count.
-    base = property(lambda p: Partition._from_raw(p._raw[:2]), doc="The uncolored partition.")
-    upper_colors = upper_key = property(lambda p: p._raw[2])
-    lower_colors = lower_key = property(lambda p: p._raw[3])
-    upper_points, lower_points = Partition.upper_points, Partition.lower_points
-    size, sort_key = Partition.size, Partition.sort_key
-
-    def __repr__(self):
-        return (
-            f"ColoredPartition({self.base!r}, "
-            f"{''.join(self.upper_colors)!r}, {''.join(self.lower_colors)!r})"
-        )
 
 
 class _Colored:
@@ -110,46 +71,44 @@ class _Colored:
     rotate, reflect_vertical = colored_rotate, colored_reflect
 
 
-def colored_tensor(p: ColoredPartition, q: ColoredPartition) -> ColoredPartition:
-    """Horizontal concatenation; color strings concatenate row-wise."""
-    check_type(p, ColoredPartition, "an operand", VariantMismatchError)
-    check_type(q, ColoredPartition, "an operand", VariantMismatchError)
-    return ColoredPartition._from_raw(_Colored.colored_tensor(p._raw, q._raw))
+class ColoredPartition(_Value):
+    """A partition with a white/black color on every point.
 
-
-def colored_involution(p: ColoredPartition) -> ColoredPartition:
-    """Swap rows; the color strings swap rows with them, order unchanged."""
-    check_type(p, ColoredPartition, "an operand", VariantMismatchError)
-    return ColoredPartition._from_raw(_Colored.colored_involution(p._raw))
-
-
-def colored_compose(p: ColoredPartition, q: ColoredPartition) -> ColoredPartition:
-    """Stack `q` on top of `p`.
-
-    Requires matching interface sizes and, point for point, matching
-    interface colors; the two failure modes raise distinct errors.
+    Colors are given per row, as any iterable of "w"/"b" (a plain string
+    like "wb" works), and must match the row lengths of the base partition.
+    The raw member is (upper count, blocks, upper colors, lower colors).
     """
-    check_type(p, ColoredPartition, "an operand", VariantMismatchError)
-    check_type(q, ColoredPartition, "an operand", VariantMismatchError)
-    check_interface(p.upper_points, q.lower_points)
-    if q.lower_colors != p.upper_colors:
-        raise ColorMismatchError(
-            f"cannot compose: interface colors {''.join(q.lower_colors)!r} "
-            f"of q do not match {''.join(p.upper_colors)!r} of p"
+
+    __slots__ = ()
+    _kernels = _Colored
+
+    def __new__(cls, base: Partition, upper_colors: Iterable[str], lower_colors: Iterable[str]):
+        check_type(base, Partition, "the base", VariantMismatchError)
+        uc = tuple(check_iterable(upper_colors, "the upper colors"))
+        lc = tuple(check_iterable(lower_colors, "the lower colors"))
+        if len(uc) != base.upper_count or len(lc) != base.lower_count:
+            raise ValueError(
+                f"color strings of lengths {len(uc)}/{len(lc)} do not match "
+                f"rows of lengths {base.upper_count}/{base.lower_count}"
+            )
+        for c in uc + lc:
+            _check_color(c)
+        return cls._from_raw(base._raw + (uc, lc))
+
+    # Views of the raw member; the point counts and the size are those of
+    # the base, and the compose interface is the color string, which fixes
+    # the point count.
+    base = property(lambda p: Partition._from_raw(p._raw[:2]), doc="The uncolored partition.")
+    upper_colors = upper_key = property(lambda p: p._raw[2])
+    lower_colors = lower_key = property(lambda p: p._raw[3])
+    upper_points, lower_points = Partition.upper_points, Partition.lower_points
+    size, sort_key = Partition.size, Partition.sort_key
+
+    def __repr__(self):
+        return (
+            f"ColoredPartition({self.base!r}, "
+            f"{''.join(self.upper_colors)!r}, {''.join(self.lower_colors)!r})"
         )
-    return ColoredPartition._from_raw(_Colored.colored_compose(p._raw, q._raw))
-
-
-def colored_rotate(p: ColoredPartition, corner: str) -> ColoredPartition:
-    """Rotate one end point to the other row, inverting the moved point's color."""
-    check_type(p, ColoredPartition, "an operand", VariantMismatchError)
-    return ColoredPartition._from_raw(_Colored.colored_rotate(p._raw, corner))
-
-
-def colored_reflect(p: ColoredPartition) -> ColoredPartition:
-    """Reverse both rows; every point keeps its color."""
-    check_type(p, ColoredPartition, "an operand", VariantMismatchError)
-    return ColoredPartition._from_raw(_Colored.colored_reflect(p._raw))
 
 
 def colored_base_partitions() -> list[ColoredPartition]:
@@ -166,6 +125,31 @@ def colored_base_partitions() -> list[ColoredPartition]:
     ]
 
 
+class _Spatial:
+    """The spatial operations as kernels on raw members (flat upper count,
+    flat blocks, levels): the plain kernels on the flattened form, moving
+    columns of m points, plus the level count. Unchecked like them."""
+
+    def spatial_tensor(p, q):
+        return _Plain.tensor(p, q) + p[2:]
+
+    def spatial_involution(p):
+        return _Plain.involution(p) + p[2:]
+
+    def spatial_compose(p, q):
+        return _Plain.compose(p, q) + p[2:]
+
+    def spatial_rotate(p, corner):
+        return _Plain.rotate(p, corner, p[2]) + p[2:]
+
+    def spatial_reflect(p):
+        return _Plain.reflect_vertical(p, p[2]) + p[2:]
+
+    keys = _Plain.keys  # the flat row lengths, as a run has one level count
+    tensor, involution, compose = spatial_tensor, spatial_involution, spatial_compose
+    rotate, reflect_vertical = spatial_rotate, spatial_reflect
+
+
 class SpatialPartition(_Value):
     """A partition on m stacked levels, stored flattened.
 
@@ -177,6 +161,7 @@ class SpatialPartition(_Value):
     """
 
     __slots__ = ()
+    _kernels = _Spatial
 
     def __new__(cls, levels: int, flattened: Partition):
         check_count(levels, 1, "levels")
@@ -270,68 +255,3 @@ def lift_to_levels(p: Partition, m: int) -> SpatialPartition:
 def spatial_base_partitions(m: int) -> list[SpatialPartition]:
     """The level-wise copies of the identity and pair base partitions."""
     return [lift_to_levels(IDENTITY, m), lift_to_levels(PAIR, m)]
-
-
-def _check_operands(p: SpatialPartition, q: SpatialPartition):
-    check_type(p, SpatialPartition, "an operand", VariantMismatchError)
-    check_type(q, SpatialPartition, "an operand", VariantMismatchError)
-    if p.levels != q.levels:
-        raise LevelMismatchError(
-            f"level counts differ: {p.levels} versus {q.levels}"
-        )
-
-
-class _Spatial:
-    """The spatial operations as kernels on raw members (flat upper count,
-    flat blocks, levels): the plain kernels on the flattened form, moving
-    columns of m points, plus the level count. Unchecked like them."""
-
-    def spatial_tensor(p, q):
-        return _Plain.tensor(p, q) + p[2:]
-
-    def spatial_involution(p):
-        return _Plain.involution(p) + p[2:]
-
-    def spatial_compose(p, q):
-        return _Plain.compose(p, q) + p[2:]
-
-    def spatial_rotate(p, corner):
-        return _Plain.rotate(p, corner, p[2]) + p[2:]
-
-    def spatial_reflect(p):
-        return _Plain.reflect_vertical(p, p[2]) + p[2:]
-
-    keys = _Plain.keys  # the flat row lengths, as a run has one level count
-    tensor, involution, compose = spatial_tensor, spatial_involution, spatial_compose
-    rotate, reflect_vertical = spatial_rotate, spatial_reflect
-
-
-def spatial_tensor(p: SpatialPartition, q: SpatialPartition) -> SpatialPartition:
-    """Horizontal concatenation of same-level spatial partitions."""
-    _check_operands(p, q)
-    return SpatialPartition._from_raw(_Spatial.spatial_tensor(p._raw, q._raw))
-
-
-def spatial_involution(p: SpatialPartition) -> SpatialPartition:
-    """Swap the upper and lower rows of every level."""
-    check_type(p, SpatialPartition, "an operand", VariantMismatchError)
-    return SpatialPartition._from_raw(_Spatial.spatial_involution(p._raw))
-
-
-def spatial_compose(p: SpatialPartition, q: SpatialPartition) -> SpatialPartition:
-    """Stack `q` on top of `p`, level by level."""
-    _check_operands(p, q)
-    check_interface(p.upper_points, q.lower_points)
-    return SpatialPartition._from_raw(_Spatial.spatial_compose(p._raw, q._raw))
-
-
-def spatial_rotate(p: SpatialPartition, corner: str) -> SpatialPartition:
-    """Rotate a whole point column (all m levels of one end point) at once."""
-    check_type(p, SpatialPartition, "an operand", VariantMismatchError)
-    return SpatialPartition._from_raw(_Spatial.spatial_rotate(p._raw, corner))
-
-
-def spatial_reflect(p: SpatialPartition) -> SpatialPartition:
-    """Reverse the column order of both rows, keeping level order in each column."""
-    check_type(p, SpatialPartition, "an operand", VariantMismatchError)
-    return SpatialPartition._from_raw(_Spatial.spatial_reflect(p._raw))

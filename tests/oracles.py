@@ -22,7 +22,12 @@ from partcat import (
     EnumerationLimitError,
     Partition,
     VariantMismatchError,
+    compose,
     invert_color,
+    involution,
+    reflect_vertical,
+    rotate,
+    tensor,
 )
 from partcat.errors import check_count, check_type
 from partcat.ops import check_interface
@@ -165,12 +170,12 @@ def reference_counts(size: int) -> dict[str, int]:
     return counts
 
 
-def saturate_reference(seed, bound, variant):
+def saturate_reference(seed, bound):
     """Bounded closure of `seed`, every operation applied to every member pair.
 
     The worklist engine that `closure._saturate` replaced, with nothing
-    skipped by symmetry, kept as its differential reference. `variant` holds
-    one variant's public involution, reflect, rotate, tensor and compose.
+    skipped by symmetry, kept as its differential reference. It runs the
+    public operations, on values of any one class.
     """
     members = set()
     queue = []
@@ -186,8 +191,6 @@ def saturate_reference(seed, bound, variant):
     by_size = defaultdict(list)
     as_bottom = defaultdict(list)  # indexed by the interface of the upper row
     as_top = defaultdict(list)  # indexed by the interface of the lower row
-    tensor = variant.tensor
-    compose = variant.compose
 
     while queue:
         x = queue.pop()
@@ -196,11 +199,11 @@ def saturate_reference(seed, bound, variant):
         as_bottom[x.upper_key].append(x)
         as_top[x.lower_key].append(x)
 
-        add(variant.involution(x))
-        add(variant.reflect(x))
+        add(involution(x))
+        add(reflect_vertical(x))
         for corner in CORNERS:
             try:
-                add(variant.rotate(x, corner))
+                add(rotate(x, corner))
             except EmptyRowError:
                 pass
 

@@ -23,9 +23,6 @@ from partcat import (
     partition_of_word,
     reflect_vertical,
     rotate,
-    spatial_compose,
-    spatial_involution,
-    spatial_tensor,
     tensor,
     unflatten,
 )
@@ -191,10 +188,10 @@ def test_criterion_8_spatial_functoriality():
         t = _blocks_tensor(p_blocks, p_shape, q_blocks, q_shape)
         assert flatten(
             p_shape[0] + q_shape[0], p_shape[1] + q_shape[1], m, t
-        ) == spatial_tensor(sp, sq).flattened
+        ) == tensor(sp, sq).flattened
 
         inv = _blocks_involution(p_blocks, p_shape)
-        assert flatten(p_shape[1], p_shape[0], m, inv) == spatial_involution(sp).flattened
+        assert flatten(p_shape[1], p_shape[0], m, inv) == involution(sp).flattened
 
         # a composable partner with matching interface width
         k = rng.randint(0, 6 - min(6, p_shape[0]))
@@ -204,7 +201,7 @@ def test_criterion_8_spatial_functoriality():
         sq2 = SpatialPartition(m, flatten(k, p_shape[0], m, blocks))
         q2_blocks = unflatten(sq2)
         comp = _blocks_compose(p_blocks, p_shape, q2_blocks, (k, p_shape[0]), m)
-        assert flatten(k, p_shape[1], m, comp) == spatial_compose(sp, sq2).flattened
+        assert flatten(k, p_shape[1], m, comp) == compose(sp, sq2).flattened
     report(8, f"flattening commutes with tensor, involution and composition "
               f"on {cases} random level-matched pairs (levels <= 4)")
 

@@ -4,10 +4,8 @@ import pickle
 import pstats
 import random
 from collections import Counter, defaultdict
-from collections.abc import Callable
 from itertools import product
 from pathlib import Path
-from typing import NamedTuple
 
 import pytest
 
@@ -25,11 +23,6 @@ from partcat import (
     SpatialPartition,
     VariantMismatchError,
     colored_base_partitions,
-    colored_compose,
-    colored_involution,
-    colored_reflect,
-    colored_rotate,
-    colored_tensor,
     compose,
     construct_closure,
     construct_colored_closure,
@@ -39,11 +32,6 @@ from partcat import (
     reflect_vertical,
     rotate,
     spatial_base_partitions,
-    spatial_compose,
-    spatial_involution,
-    spatial_reflect,
-    spatial_rotate,
-    spatial_tensor,
     tensor,
 )
 from partcat.closure import _saturate
@@ -60,28 +48,6 @@ from oracles import (
     is_free_unitary,
     saturate_reference,
 )
-
-
-class _Operations(NamedTuple):
-    """The public operations of one variant on values: what the reference
-    engine and the saturation check run, in place of the engine's kernels."""
-
-    kind: str
-    involution: Callable
-    reflect: Callable
-    rotate: Callable
-    tensor: Callable
-    compose: Callable
-
-
-_PLAIN = _Operations("plain", involution, reflect_vertical, rotate, tensor, compose)
-_COLORED = _Operations(
-    "colored", colored_involution, colored_reflect, colored_rotate, colored_tensor, colored_compose
-)
-_SPATIAL = _Operations(
-    "spatial", spatial_involution, spatial_reflect, spatial_rotate, spatial_tensor, spatial_compose
-)
-_OPERATIONS = {Partition: _PLAIN, ColoredPartition: _COLORED, SpatialPartition: _SPATIAL}
 
 
 def test_empty_generators_contains_bases():
@@ -234,11 +200,11 @@ def test_shape_queries_match_full_scan(nc_closure_6):
             closure.members_of_shape(bound, 1)
 
 
-def _rotations(variant, x):
+def _rotations(x):
     out = []
     for corner in CORNERS:
         try:
-            out.append(variant.rotate(x, corner))
+            out.append(rotate(x, corner))
         except EmptyRowError:
             pass
     return out
@@ -246,20 +212,19 @@ def _rotations(variant, x):
 
 def _saturation_holes(closure):
     """Apply every operation to every member (pair); collect escapees."""
-    variant = _OPERATIONS[closure._type]
     members = closure.members
     holes = []
     for x in members:
-        for r in (variant.involution(x), variant.reflect(x), *_rotations(variant, x)):
+        for r in (involution(x), reflect_vertical(x), *_rotations(x)):
             if r not in members:
                 holes.append(("unary", x, r))
         for y in members:
             if x.size + y.size <= closure.bound:
-                for r in (variant.tensor(x, y), variant.tensor(y, x)):
+                for r in (tensor(x, y), tensor(y, x)):
                     if r not in members:
                         holes.append(("tensor", x, y))
             if y.lower_key == x.upper_key and y.upper_points + x.lower_points <= closure.bound:
-                if variant.compose(x, y) not in members:
+                if compose(x, y) not in members:
                     holes.append(("compose", x, y))
     return holes
 
@@ -301,7 +266,7 @@ def test_generators_must_be_iterable():
 
 
 def _differential_corpus(rng):
-    """Yield (ops, bases, generators, bound) runs for the reference comparison.
+    """Yield (kind, bases, generators, bound) runs for the reference comparison.
 
     Random spatial generators at m = 2 and bound 4, or m = 3 and bound 3,
     can generate tens of thousands of members, which the reference cannot
@@ -310,11 +275,11 @@ def _differential_corpus(rng):
     for bound, runs in ((3, 6), (4, 6), (5, 6), (6, 3)):
         for _ in range(runs):
             gens = [random_partition(rng, bound, 1) for _ in range(rng.randint(1, 2))]
-            yield _PLAIN, [IDENTITY, PAIR], gens, bound
+            yield "plain", [IDENTITY, PAIR], gens, bound
     for bound, runs in ((3, 5), (4, 5), (5, 5)):
         for _ in range(runs):
             gens = [random_colored(rng, bound) for _ in range(rng.randint(1, 2))]
-            yield _COLORED, colored_base_partitions(), gens, bound
+            yield "colored", colored_base_partitions(), gens, bound
     for m, bound, lifted in (
         (1, 3, False), (1, 4, False), (2, 2, False), (2, 3, False),
         (2, 4, True), (3, 2, False), (3, 3, True), (3, 4, True),
@@ -324,22 +289,22 @@ def _differential_corpus(rng):
                 gens = [lift_to_levels(random_partition(rng, bound, 1), m)]
             else:
                 gens = [random_spatial(rng, levels=m, max_points=bound)]
-            yield _SPATIAL, spatial_base_partitions(m), gens, bound
+            yield "spatial", spatial_base_partitions(m), gens, bound
 
 
 def test_constructors_match_reference_saturation():
     rng = random.Random(20250207)
     kinds = set()
-    for ops, bases, gens, bound in _differential_corpus(rng):
-        if ops is _PLAIN:
+    for kind, bases, gens, bound in _differential_corpus(rng):
+        if kind == "plain":
             closure = construct_closure(gens, bound)
-        elif ops is _COLORED:
+        elif kind == "colored":
             closure = construct_colored_closure(gens, bound)
         else:
             closure = construct_spatial_closure(gens, bound, bases[0].levels)
-        expected = saturate_reference(bases + gens, bound, ops)
-        assert closure.members == expected, (ops.kind, gens, bound)
-        kinds.add(ops.kind)
+        expected = saturate_reference(bases + gens, bound)
+        assert closure.members == expected, (kind, gens, bound)
+        kinds.add(kind)
     assert kinds == {"plain", "colored", "spatial"}
 
 

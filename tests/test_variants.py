@@ -24,11 +24,6 @@ from partcat import (
     VariantMismatchError,
     WHITE,
     colored_base_partitions,
-    colored_compose,
-    colored_involution,
-    colored_reflect,
-    colored_rotate,
-    colored_tensor,
     compose,
     construct_closure,
     construct_spatial_closure,
@@ -38,11 +33,6 @@ from partcat import (
     lift_to_levels,
     reflect_vertical,
     rotate,
-    spatial_compose,
-    spatial_involution,
-    spatial_reflect,
-    spatial_rotate,
-    spatial_tensor,
     tensor,
     unflatten,
 )
@@ -93,17 +83,29 @@ def test_colored_base_partitions():
 
 
 def test_colored_tensor_example():
-    t = colored_tensor(WID, BID)
+    t = tensor(WID, BID)
     assert t.base == Partition([1, 2], [1, 2])
     assert t.upper_colors == (WHITE, BLACK)
     assert t.lower_colors == (WHITE, BLACK)
 
 
 def test_colored_compose_mismatches_are_distinct():
-    with pytest.raises(ColorMismatchError):
-        colored_compose(WID, BID)
+    with pytest.raises(ColorMismatchError, match="^cannot compose: interface colors 'b' "
+                       "of q do not match 'w' of p$"):
+        compose(WID, BID)
     with pytest.raises(SizeMismatchError):
-        colored_compose(WID, ColoredPartition(PAIR, (), (WHITE, WHITE)))
+        compose(WID, ColoredPartition(PAIR, (), (WHITE, WHITE)))
+    # Point counts and colors both differ: the point counts are checked first.
+    with pytest.raises(SizeMismatchError):
+        compose(WID, ColoredPartition(PAIR, (), (BLACK, BLACK)))
+    with pytest.raises(SizeMismatchError):
+        compose(ColoredPartition(involution(PAIR), (BLACK, BLACK), ()), WID)
+    # The message is the one a plain pair gives.
+    message = "^cannot compose: q has 2 lower points but p has 1 upper points$"
+    with pytest.raises(SizeMismatchError, match=message):
+        compose(IDENTITY, PAIR)
+    with pytest.raises(SizeMismatchError, match=message):
+        compose(WID, ColoredPartition(PAIR, (), (BLACK, BLACK)))
 
 
 def test_colored_compose_succeeds_iff_interface_matches():
@@ -114,43 +116,43 @@ def test_colored_compose_succeeds_iff_interface_matches():
         sizes_match = q.base.lower_count == p.base.upper_count
         colors_match = q.lower_colors == p.upper_colors
         if sizes_match and colors_match:
-            r = colored_compose(p, q)
+            r = compose(p, q)
             assert r.upper_colors == q.upper_colors
             assert r.lower_colors == p.lower_colors
         elif sizes_match:
             with pytest.raises(ColorMismatchError):
-                colored_compose(p, q)
+                compose(p, q)
         else:
             with pytest.raises(SizeMismatchError):
-                colored_compose(p, q)
+                compose(p, q)
 
 
 def test_colored_involution_preserves_color_multiset():
     rng = random.Random(2)
     for _ in range(200):
         p = random_colored(rng)
-        q = colored_involution(p)
+        q = involution(p)
         assert sorted(q.upper_colors + q.lower_colors) == sorted(
             p.upper_colors + p.lower_colors
         )
-        assert colored_involution(q) == p
+        assert involution(q) == p
 
 
 def test_colored_rotate_inverts_moved_color():
     p = ColoredPartition(PAIR, (), (WHITE, BLACK))
-    r = colored_rotate(p, "bottom-left")
+    r = rotate(p, "bottom-left")
     assert r.base == IDENTITY
     assert r.upper_colors == (BLACK,)  # the moved white point turned black
     assert r.lower_colors == (BLACK,)
     assert r in colored_base_partitions()
     for corner in CORNERS:
-        empty_row = p if corner.startswith("top") else colored_involution(p)
+        empty_row = p if corner.startswith("top") else involution(p)
         with pytest.raises(EmptyRowError):
-            colored_rotate(empty_row, corner)
+            rotate(empty_row, corner)
     with pytest.raises(ValueError):
-        colored_rotate(p, "sideways")
+        rotate(p, "sideways")
     with pytest.raises(ValueError):
-        colored_rotate(ColoredPartition(Partition([], []), "", ""), "sideways")
+        rotate(ColoredPartition(Partition([], []), "", ""), "sideways")
 
 
 def _rotated_colors(uc, lc, corner):
@@ -169,19 +171,19 @@ def test_colored_ops_forget_to_plain_ops():
     for _ in range(300):
         p = random_colored(rng, 8)
         q = random_colored(rng, 8)
-        assert colored_tensor(p, q).base == tensor(p.base, q.base)
-        assert colored_involution(p).base == involution(p.base)
-        assert colored_reflect(p).base == reflect_vertical(p.base)
+        assert tensor(p, q).base == tensor(p.base, q.base)
+        assert involution(p).base == involution(p.base)
+        assert reflect_vertical(p).base == reflect_vertical(p.base)
         for corner in CORNERS:
             if not (p.upper_colors if corner.startswith("top") else p.lower_colors):
                 continue
-            r = colored_rotate(p, corner)
+            r = rotate(p, corner)
             assert r.base == rotate(p.base, corner)
             assert (r.upper_colors, r.lower_colors) == _rotated_colors(
                 p.upper_colors, p.lower_colors, corner
             )
         try:
-            r = colored_compose(p, q)
+            r = compose(p, q)
         except (SizeMismatchError, ColorMismatchError):
             pass
         else:
@@ -195,11 +197,11 @@ def _validated(r):
     return SpatialPartition(r.levels, r.flattened)
 
 
-def _unary_results(p, involution_op, reflect_op, rotate_op):
-    out = [involution_op(p), reflect_op(p)]
+def _unary_results(p):
+    out = [involution(p), reflect_vertical(p)]
     for corner in CORNERS:
         try:
-            out.append(rotate_op(p, corner))
+            out.append(rotate(p, corner))
         except EmptyRowError:
             pass
     return out
@@ -215,13 +217,13 @@ def test_op_results_equal_validated_construction():
         bp, bq = random_composable_pair(rng, 10)
         p = ColoredPartition(bp, colors(bp.upper_count), colors(bp.lower_count))
         q = ColoredPartition(bq, colors(bq.upper_count), p.upper_colors)
-        results = [colored_tensor(p, q), colored_tensor(q, p), colored_compose(p, q)]
-        results += _unary_results(p, colored_involution, colored_reflect, colored_rotate)
+        results = [tensor(p, q), tensor(q, p), compose(p, q)]
+        results += _unary_results(p)
         m = rng.randint(1, 3)
         sp = random_spatial(rng, levels=m, max_points=4)
         sq = random_spatial(rng, levels=m, k=rng.randint(0, 2), l=sp.upper_points)
-        results += [spatial_tensor(sp, sq), spatial_compose(sp, sq)]
-        results += _unary_results(sp, spatial_involution, spatial_reflect, spatial_rotate)
+        results += [tensor(sp, sq), compose(sp, sq)]
+        results += _unary_results(sp)
         for r in results:
             v = _validated(r)
             assert r == v and hash(r) == hash(v), r
@@ -340,11 +342,19 @@ def test_spatial_level_mismatch():
     a = lift_to_levels(IDENTITY, 2)
     b = lift_to_levels(IDENTITY, 3)
     with pytest.raises(LevelMismatchError):
-        spatial_tensor(a, b)
+        tensor(a, b)
     with pytest.raises(LevelMismatchError):
-        spatial_compose(a, b)
+        compose(a, b)
     with pytest.raises(SizeMismatchError):
-        spatial_compose(lift_to_levels(PAIR, 2), lift_to_levels(PAIR, 2))
+        compose(lift_to_levels(PAIR, 2), lift_to_levels(PAIR, 2))
+    # Levels and interface points both differ: the levels are checked first,
+    # in either operand order.
+    c = lift_to_levels(PAIR, 3)
+    for p, q in ((a, c), (c, a)):
+        with pytest.raises(LevelMismatchError, match="^level counts differ: "):
+            compose(p, q)
+        with pytest.raises(LevelMismatchError):
+            tensor(p, q)
 
 
 def test_spatial_m1_matches_plain_ops():
@@ -353,11 +363,11 @@ def test_spatial_m1_matches_plain_ops():
         p = random_partition(rng, 6)
         q = random_partition(rng, 6)
         sp, sq = SpatialPartition(1, p), SpatialPartition(1, q)
-        assert spatial_tensor(sp, sq).flattened == tensor(p, q)
-        assert spatial_involution(sp).flattened == involution(p)
-        assert spatial_reflect(sp).flattened == reflect_vertical(p)
+        assert tensor(sp, sq).flattened == tensor(p, q)
+        assert involution(sp).flattened == involution(p)
+        assert reflect_vertical(sp).flattened == reflect_vertical(p)
         if q.lower_count == p.upper_count:
-            assert spatial_compose(sp, sq).flattened == compose(p, q)
+            assert compose(sp, sq).flattened == compose(p, q)
 
 
 def _reflected_by_levels(sp):
@@ -386,18 +396,18 @@ def _top_left_by_levels(sp):
 
 
 def test_spatial_reflect_mirrors_columns_keeping_levels():
-    assert render_spatial(spatial_reflect(parse_spatial("m=2;1,2,2,3|"))) == "m=2;1,2,3,1|"
+    assert render_spatial(reflect_vertical(parse_spatial("m=2;1,2,2,3|"))) == "m=2;1,2,3,1|"
     rng = random.Random(12)
     for _ in range(300):
         sp = random_spatial(rng, levels=rng.randint(2, 4))
-        assert spatial_reflect(sp) == _reflected_by_levels(sp)
+        assert reflect_vertical(sp) == _reflected_by_levels(sp)
 
 
 def test_spatial_rotate_moves_whole_columns():
     sp = lift_to_levels(Partition([1, 2], [2, 1]), 2)
-    r = spatial_rotate(sp, "top-left")
+    r = rotate(sp, "top-left")
     assert (r.upper_points, r.lower_points) == (1, 3)
-    assert spatial_rotate(r, "bottom-left") == sp
+    assert rotate(r, "bottom-left") == sp
     inverse = dict(zip(CORNERS, ("bottom-left", "bottom-right", "top-left", "top-right")))
     rng = random.Random(8)
     for _ in range(200):
@@ -406,37 +416,34 @@ def test_spatial_rotate_moves_whole_columns():
         sp = random_spatial(rng, levels=m)
         for corner in CORNERS:
             if (p.upper_count if corner.startswith("top") else p.lower_count):
-                assert spatial_rotate(lift_to_levels(p, m), corner) == lift_to_levels(
+                assert rotate(lift_to_levels(p, m), corner) == lift_to_levels(
                     rotate(p, corner), m
                 )
             if (sp.upper_points if corner.startswith("top") else sp.lower_points):
-                assert spatial_rotate(spatial_rotate(sp, corner), inverse[corner]) == sp
+                assert rotate(rotate(sp, corner), inverse[corner]) == sp
     for corner in CORNERS:
         empty_row = PAIR if corner.startswith("top") else involution(PAIR)
         with pytest.raises(EmptyRowError):
-            spatial_rotate(lift_to_levels(empty_row, 2), corner)
+            rotate(lift_to_levels(empty_row, 2), corner)
     with pytest.raises(ValueError):
-        spatial_rotate(sp, "sideways")
+        rotate(sp, "sideways")
     with pytest.raises(ValueError):
-        spatial_rotate(lift_to_levels(Partition([], []), 2), "sideways")
+        rotate(lift_to_levels(Partition([], []), 2), "sideways")
 
 
 def _kernel_cases(rng):
-    """(kernels, public operations, p, q) for each variant: a random value p
-    and a random q whose lower row fits p's upper row."""
+    """(kernels, p, q) for each variant: a random value p and a random q
+    whose lower row fits p's upper row."""
     p, q = random_composable_pair(rng, 10)
-    plain = (involution, reflect_vertical, rotate, tensor, compose)
-    yield _Plain, plain, p, q
+    yield _Plain, p, q
     colors = [rng.choice((WHITE, BLACK)) for _ in range(p.size + q.upper_count)]
     cp = ColoredPartition(p, colors[: p.upper_count], colors[p.upper_count : p.size])
     cq = ColoredPartition(q, colors[p.size :], cp.upper_colors)
-    colored = (colored_involution, colored_reflect, colored_rotate, colored_tensor, colored_compose)
-    yield _Colored, colored, cp, cq
+    yield _Colored, cp, cq
     m = rng.choice((2, 3))
     sp = random_spatial(rng, levels=m, max_points=5)
     sq = random_spatial(rng, levels=m, k=rng.randint(0, 3), l=sp.upper_points)
-    spatial = (spatial_involution, spatial_reflect, spatial_rotate, spatial_tensor, spatial_compose)
-    yield _Spatial, spatial, sp, sq
+    yield _Spatial, sp, sq
 
 
 def test_kernels_match_public_operations():
@@ -446,18 +453,18 @@ def test_kernels_match_public_operations():
     # the spatial moves match a point-by-point construction per level.
     rng = random.Random(16)
     for _ in range(300):
-        for kernels, public, p, q in _kernel_cases(rng):
-            inv, refl, rot, tens, comp = public
+        for kernels, p, q in _kernel_cases(rng):
+            assert type(p)._kernels is kernels
             wrap = type(p)._from_raw
             x, y = p._raw, q._raw
-            assert wrap(kernels.involution(x)) == inv(p)
-            assert wrap(kernels.reflect_vertical(x)) == refl(p)
+            assert wrap(kernels.involution(x)) == involution(p)
+            assert wrap(kernels.reflect_vertical(x)) == reflect_vertical(p)
             for corner in CORNERS:
                 if p.upper_points if corner.startswith("top") else p.lower_points:
-                    assert wrap(kernels.rotate(x, corner)) == rot(p, corner)
-            assert wrap(kernels.tensor(x, y)) == tens(p, q)
-            assert wrap(kernels.tensor(y, x)) == tens(q, p)
-            assert wrap(kernels.compose(x, y)) == comp(p, q)
+                    assert wrap(kernels.rotate(x, corner)) == rotate(p, corner)
+            assert wrap(kernels.tensor(x, y)) == tensor(p, q)
+            assert wrap(kernels.tensor(y, x)) == tensor(q, p)
+            assert wrap(kernels.compose(x, y)) == compose(p, q)
             assert Partition._from_raw(_Plain.compose(x, y)) == compose_via_dfs(
                 Partition._from_raw(x[:2]), Partition._from_raw(y[:2])
             )
@@ -486,16 +493,15 @@ def test_one_row_factor_law_on_colored_and_spatial_values():
     # tests/test_ops.py checks it on plain values.
     rng = random.Random(17)
     for _ in range(300):
-        for _, public, p, q in _kernel_cases(rng):
+        for _, p, q in _kernel_cases(rng):
             if type(p) is Partition:
                 continue
-            tens, comp = public[3:]
             lower, upper = _one_row(rng, p, False), _one_row(rng, p, True)
-            result = comp(p, q)
-            assert comp(tens(p, lower), q) == tens(result, lower)
-            assert comp(tens(lower, p), q) == tens(lower, result)
-            assert comp(p, tens(q, upper)) == tens(result, upper)
-            assert comp(p, tens(upper, q)) == tens(upper, result)
+            result = compose(p, q)
+            assert compose(tensor(p, lower), q) == tensor(result, lower)
+            assert compose(tensor(lower, p), q) == tensor(lower, result)
+            assert compose(p, tensor(q, upper)) == tensor(result, upper)
+            assert compose(p, tensor(upper, q)) == tensor(upper, result)
 
 
 # ------------------------------------------- block-level functoriality
@@ -556,18 +562,18 @@ def test_flatten_respects_operations():
         t = _blocks_tensor(p_blocks, p_shape, q_blocks, q_shape)
         assert flatten(
             p_shape[0] + q_shape[0], p_shape[1] + q_shape[1], m, t
-        ) == spatial_tensor(sp, sq).flattened
+        ) == tensor(sp, sq).flattened
 
         inv = _blocks_involution(p_blocks, p_shape)
         assert flatten(
             p_shape[1], p_shape[0], m, inv
-        ) == spatial_involution(sp).flattened
+        ) == involution(sp).flattened
 
         if q_shape[1] == p_shape[0]:
             comp = _blocks_compose(p_blocks, p_shape, q_blocks, q_shape, m)
             assert flatten(
                 q_shape[0], p_shape[1], m, comp
-            ) == spatial_compose(sp, sq).flattened
+            ) == compose(sp, sq).flattened
 
 
 def _public_fields(cls):
