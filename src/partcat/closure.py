@@ -54,8 +54,7 @@ another class, it runs S x as the first factor against every filed member
 and then files B; last it runs x against every filed member. A first
 factor y with C y == y runs only against the first filed member of each
 class, because (y, q) and (y, C q) are one orbit; the identity and the
-crossing are such factors for both maps, the empty partition for tensor
-and the pair 1,1| for compose.
+crossing are such factors for both maps, and the pair 1,1| for compose.
 
 Each pair orbit has exactly one pair that the engine runs. Take a pair
 orbit with factors from the member orbit O' of x and an orbit O processed
@@ -76,6 +75,14 @@ would also run (S x, S x) and (S x, SC x), whose orbits x runs already.
 Every member is filed under its own interface, since R reverses a colored
 one.
 
+The orbit of the empty partition o is skipped when popped, so o never
+runs as a factor. Its tensor pairs give the other factor, a member
+already, by the identity law tensor(o, q) == tensor(q, o) == q, and write
+no mask: the bits below need two factors with points, and an identity base
+e beside o writes -1 to the orbit of e, which holds it from the start. Its
+compose pairs have an empty interface, which rule 1 below skips anyway. So
+members, masks and insertion order are as if those pairs ran.
+
 Of the four corner moves only top-left (tl) is applied; the other three
 are conjugates of it,
 
@@ -89,6 +96,14 @@ with an upper point, R x is in M and has one, so tl(R x) is in M and so is
 R tl R x = tr(x).
 The same argument through I gives bl, and through RI gives br, for x with
 a lower point. Any one corner would do.
+
+tl itself runs on only one of x and I tl(x) for each member x. When the
+engine evaluates w = tl(y), it marks I w and never evaluates tl(I w),
+which is I bl(w) == I y, already a member. M stays closed under tl: I maps the tl
+edge y -> w onto the edge I w -> I y, so every x in M with an upper point
+is either rotated, adding tl(x), or marked, x == I w with tl(x) == I y in
+M. A marked member is never rotated, and the mark falls on I w when y is
+rotated, so of x and I tl(x) exactly one is.
 
 Of the compose pairs left, the engine skips those whose result the tensor
 and identity laws give from smaller pairs. Orbits are popped smallest size
@@ -111,13 +126,22 @@ A compose pair (p bottom, q top) with n interface points is skipped when
 2. the mask test holds: splits[p] or splits[I q] has bit 0 or bit n, or
    splits[p] & splits[I q] != 0;
 3. the result shape is full: the shape (upper key of q, lower key of p),
-   of point counts or color rows, with k + l points holds B(k + l)
-   members, B the Bell number.
+   of point counts or color rows, with k + l points holds c(k + l)
+   members.
 
-Rule 3 is exact, as a shape of k + l points holds at most B(k + l)
-members, one per set partition of its points, so a full shape holds the
-result. Adding a known member writes nothing, and compose results write no
-mask, so the run is as it would be without rule 3.
+The capacity c(n) counts the partitions of n points that a shape can
+hold. A colored or spatial run takes B(n), the Bell number, one member per
+set partition of the shape's points. A plain run takes the smallest of the
+classes P (all partitions), NC (noncrossing), P2 (pair) and NC2
+(noncrossing pair) that holds every base and generator, by the predicates
+of `partcat.oracles`, and c(n) is B(n), Catalan(n), (n - 1)!! or
+Catalan(n / 2), the last two 0 for odd n. Each class is closed under all
+five operations, so it holds every member, and it is closed under tl and
+bl, which map its shapes of k + l points bijectively onto each other; so
+every shape of n points holds exactly c(n) partitions of the class, as
+many as its row (0, n) does. A full shape thus holds the result. Adding a
+known member writes nothing, and compose results write no mask, so the run
+is as it would be without rule 3.
 
 Rules 1 and 2 are exact too. Every mask holds in the final member set M:
 bit i of splits[z] means z == tensor(z1, z2) with z1, z2 nonempty members
@@ -170,6 +194,7 @@ from operator import attrgetter
 
 from .errors import BoundError, LevelMismatchError, VariantMismatchError
 from .errors import check_count, check_iterable, check_type
+from .oracles import is_noncrossing, is_pair_partition
 from .partition import IDENTITY, PAIR, Partition
 from .variants import ColoredPartition, SpatialPartition
 from .variants import colored_base_partitions, spatial_base_partitions
@@ -266,9 +291,10 @@ class ClosureSet:
         return sorted(self._members, key=_sort_key)
 
 
-def _saturate(bases, generators, bound, kernels):
+def _saturate(bases, generators, bound, kernels, capacity):
     """The raw members of the closure of the raw `bases` and `generators`
-    within `bound`, in insertion order, by the kernel table `kernels`.
+    within `bound`, in insertion order, by the kernel table `kernels`;
+    `capacity` is the row c(0..bound) of the module docstring's rule 3.
 
     Sizes and `bound` count block-vector points. The bases that fit the
     bound are added first, then the generators; the bases with as many upper
@@ -287,15 +313,11 @@ def _saturate(bases, generators, bound, kernels):
     reflect = kernels.reflect_vertical
     keys = kernels.keys
     filled = defaultdict(int)  # shape keys(x) -> number of members of that shape
-    bell, row = [1], [1]  # bell[n] is B(n), by the Bell triangle
-    while len(bell) <= bound:
-        row = list(accumulate(row, initial=row[-1]))
-        bell.append(row[0])
 
     def add(x):
         if x not in members:
-            inv = involution(x)
-            orbit = x, reflect(x), inv, reflect(inv)
+            ref = reflect(x)
+            orbit = x, ref, involution(x), involution(ref)
             frame = [members.setdefault(y, len(members)) for y in orbit]
             # New members come in index order; R, I and RI move orbit
             # position pos to pos ^ 1, pos ^ 2 and pos ^ 3.
@@ -324,6 +346,7 @@ def _saturate(bases, generators, bound, kernels):
     # I-image, first filed).
     by_size = defaultdict(list)
     as_top = defaultdict(dict)
+    paired = set()  # indices of members I w with w = tl(y) evaluated: tl(I w) == I y
     rotate = kernels.rotate
     tensor = kernels.tensor
     compose = kernels.compose
@@ -335,14 +358,18 @@ def _saturate(bases, generators, bound, kernels):
         else:
             return members.keys()
         x, ref, inv, ref_inv = stack.pop()
+        sx = len(x[1])
+        if not sx:  # the empty partition, whose pairs give known members
+            continue
         a, ra, ia, ria = mates[members[x]]
-        for y in {a: x, ra: ref, ia: inv, ria: ref_inv}.values():
-            if y[0]:
-                add(rotate(y, "top-left"))
+        for i, y in {a: x, ra: ref, ia: inv, ria: ref_inv}.items():
+            if y[0] and i not in paired:
+                w = rotate(y, "top-left")
+                add(w)
+                paired.add(mates[members[w]][2])
 
         # Tensor: I-classes; y is the left factor. Each split is written to
         # the whole orbit of z: R z == tensor(R q, R y), I z == tensor(I y, I q).
-        sx = len(x[1])
         fixed = ia == a  # I fixes x, and so R x
         for y, i, first in _orbit_steps(x, a, inv, ia, ref, ra, ref_inv, ria):
             yu, yl = y[0], sx - y[0]
@@ -358,7 +385,7 @@ def _saturate(bases, generators, bound, kernels):
                         k, rk, ik, rik = mates[members[z]]
                         if beside or j in identity:
                             splits[k] = splits[rk] = splits[ik] = splits[rik] = -1
-                        elif sx and s:
+                        else:
                             splits[k] |= 1 << yu
                             splits[rk] |= 1 << qu
                             splits[ik] |= 1 << yl
@@ -381,7 +408,7 @@ def _saturate(bases, generators, bound, kernels):
                 mask, yl = splits[i] | ends, sx - yu
                 for tu in range(bound - yl + 1):
                     for top, tops in as_top.get((key, tu), {}).items():
-                        if filled[top, low] == bell[tu + yl]:
+                        if filled[top, low] == capacity[tu + yl]:
                             continue
                         for q, j, q_first in tops:
                             if (q_first or not fixed) and not splits[j] & mask:
@@ -407,6 +434,27 @@ def _orbit_steps(x, a, mate, b, y, c, y_mate, d):
     return steps
 
 
+def _capacity(bound, pair, noncrossing):
+    """c(0..bound), the most members a shape of n points can hold, for rule
+    3: the size of a shape in P, NC, P2 or NC2, as the seed's members are
+    all pair partitions, all noncrossing, both or neither. A colored or
+    spatial run takes neither, the Bell row."""
+    c, row = [1], [1]  # row is the last row of the Bell triangle
+    for n in range(1, bound + 1):
+        if pair and n % 2:
+            c.append(0)
+        elif pair and noncrossing:  # NC2: Catalan(n / 2)
+            c.append(c[n - 2] * 4 * (n - 1) // (n + 2))
+        elif pair:  # P2: (n - 1)!!
+            c.append(c[n - 2] * (n - 1))
+        elif noncrossing:  # NC: Catalan(n)
+            c.append(c[n - 1] * 2 * (2 * n - 1) // (n + 1))
+        else:  # P: B(n)
+            row = list(accumulate(row, initial=row[-1]))
+            c.append(row[0])
+    return c
+
+
 def _checked(generators, value_type):
     generators = list(check_iterable(generators, "generators"))
     role = f"a {_KIND[value_type]} closure generator"
@@ -422,8 +470,12 @@ def _construct(generators, bound, value_type, bases, levels=1):
     for g in generators:
         if g.size > bound:
             raise BoundError(f"generator of size {g.size} exceeds the bound {bound}")
+    pair = noncrossing = False
+    if value_type is Partition:
+        seed = [*bases, *generators]
+        pair, noncrossing = all(map(is_pair_partition, seed)), all(map(is_noncrossing, seed))
     raw = _saturate([b._raw for b in bases], [g._raw for g in generators], bound * levels,
-                    value_type._kernels)
+                    value_type._kernels, _capacity(bound * levels, pair, noncrossing))
     return ClosureSet._from_members(bound, generators, map(value_type._from_raw, raw), value_type)
 
 

@@ -1,13 +1,14 @@
 """Brute-force references the tests compare the library against.
 
 Each is deliberately naive or independent of the fast paths: the Bell,
-Catalan and double factorial counts, membership in the easy categories and
-in the free unitary category checked block by block, a composition that
-merges overlapping point sets to a fixpoint, counts by filtering the full
-enumeration, and a closure worklist that applies every operation to every
-pair of members. No program path runs them, so the package does not ship
-them: there they would be public surface, owing every caller a checked
-boundary, while here they only need to be right on what the tests pass.
+Catalan and double factorial counts, the pair partitions of a shape built
+match by match, membership in the easy categories and in the free unitary
+category checked block by block, a composition that merges overlapping
+point sets to a fixpoint, counts by filtering the full enumeration, and a
+closure worklist that applies every operation to every pair of members.
+No program path runs them, so the package does not ship them: there they
+would be public surface, owing every caller a checked boundary, while here
+they only need to be right on what the tests pass.
 """
 
 from collections import Counter, defaultdict
@@ -63,6 +64,31 @@ def double_factorial(n: int) -> int:
     while n > 1:
         out *= n
         n -= 2
+    return out
+
+
+def pair_partitions(k: int, l: int) -> set[Partition]:
+    """All pair partitions with k upper and l lower points, built by
+    matching the first unmatched point with each later one in turn: no
+    enumeration limit applies, and nothing is filtered."""
+    labels = [0] * (k + l)
+    out = set()
+
+    def match(i, label):
+        while i < len(labels) and labels[i]:
+            i += 1
+        if i == len(labels):
+            out.add(Partition(labels[:k], labels[k:]))
+            return
+        labels[i] = label
+        for j in range(i + 1, len(labels)):
+            if not labels[j]:
+                labels[j] = label
+                match(i + 1, label + 1)
+                labels[j] = 0
+        labels[i] = 0
+
+    match(0, 1)
     return out
 
 

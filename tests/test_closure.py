@@ -4,6 +4,7 @@ import pickle
 import pstats
 import random
 from collections import Counter, defaultdict
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from partcat import (
     spatial_base_partitions,
     tensor,
 )
-from partcat.closure import _saturate
+from partcat.closure import _capacity, _saturate
 from partcat.ops import _Plain
 from partcat.oracles import enumerate_all, is_noncrossing, is_pair_partition
 from partcat.variants import _Colored, _Spatial
@@ -43,9 +44,12 @@ from conftest import CROSSING, FORK
 from helpers import random_colored, random_partition, random_spatial
 from oracles import (
     bell_number,
+    catalan_number,
+    double_factorial,
     has_blocks_of_at_most_two,
     has_even_blocks,
     is_free_unitary,
+    pair_partitions,
     saturate_reference,
 )
 
@@ -82,8 +86,9 @@ def test_nc_closure_against_oracle(nc_closure_6):
     assert len(c.members_of_shape(0, 6)) == 132
 
 
+@cache
 def _all_up_to(bound):
-    return [p for n in range(bound + 1) for k in range(n + 1) for p in enumerate_all(k, n - k)]
+    return tuple(p for n in range(bound + 1) for k in range(n + 1) for p in enumerate_all(k, n - k))
 
 
 SINGLETON = Partition([], [1])
@@ -110,6 +115,40 @@ def test_easy_categories_at_bound_6(generators, predicate, count):
     expected = {p for p in _all_up_to(6) if predicate(p)}
     assert len(expected) == count
     assert construct_closure(generators, 6).members == expected
+
+
+def test_deep_closures_equal_their_classes():
+    # Cheap since full shapes are sized by the seed's class, and checked
+    # against the oracles: {crossing} @10 is every pair partition of at most
+    # 10 points, {fork} @8 every noncrossing partition of at most 8.
+    pairs = {p for n in range(11) for k in range(n + 1) for p in pair_partitions(k, n - k)}
+    assert len(pairs) == 11_464
+    assert construct_closure([CROSSING], 10).members == pairs
+    noncrossing = {p for p in _all_up_to(8) if is_noncrossing(p)}
+    assert len(noncrossing) == 17_577
+    assert construct_closure([FORK], 8).members == noncrossing
+
+
+@pytest.mark.parametrize(
+    "pair, noncrossing, predicate",
+    [
+        (True, True, lambda p: is_pair_partition(p) and is_noncrossing(p)),
+        (True, False, is_pair_partition),
+        (False, True, is_noncrossing),
+        (False, False, lambda p: True),
+    ],
+    ids=["NC2", "P2", "NC", "P"],
+)
+def test_capacity_is_the_class_size_of_every_shape(pair, noncrossing, predicate):
+    # c(n) is the size of each shape of n points in P, NC, P2 or NC2.
+    capacity = _capacity(8, pair, noncrossing)
+    shapes = Counter((p.upper_points, p.lower_points) for p in _all_up_to(8) if predicate(p))
+    for n in range(9):
+        assert [shapes[k, n - k] for k in range(n + 1)] == [capacity[n]] * (n + 1)
+
+
+def test_capacity_of_all_partitions_is_the_bell_row():
+    assert _capacity(10, False, False) == [bell_number(n) for n in range(11)]
 
 
 def test_colored_base_closure_is_free_unitary():
@@ -276,6 +315,12 @@ def _differential_corpus(rng):
         for _ in range(runs):
             gens = [random_partition(rng, bound, 1) for _ in range(rng.randint(1, 2))]
             yield "plain", [IDENTITY, PAIR], gens, bound
+    # Seeds at the edges of NC2, P2, NC and P, which size the full shapes.
+    for gens, bound in (
+        ([IDENTITY, PAIR], 6), ([CROSSING], 6), ([FORK], 6), ([FORK, CROSSING], 5),
+        ([CROSSING, Partition([1], [2])], 6),
+    ):
+        yield "plain", [IDENTITY, PAIR], gens, bound
     for bound, runs in ((3, 5), (4, 5), (5, 5)):
         for _ in range(runs):
             gens = [random_colored(rng, bound) for _ in range(rng.randint(1, 2))]
@@ -310,12 +355,13 @@ def test_constructors_match_reference_saturation():
 
 class _CountingOps:
     """A kernel table that counts its calls and records its compose and
-    tensor pairs."""
+    tensor pairs and the members it rotates."""
 
     def __init__(self, kernels):
         self._kernels = kernels
         self.calls = Counter()
         self.pairs = defaultdict(list)
+        self.rotated = []
 
     def __getattr__(self, name):
         return getattr(self._kernels, name)
@@ -330,6 +376,7 @@ class _CountingOps:
 
     def rotate(self, p, corner):
         self.calls["rotate"] += 1
+        self.rotated.append(p)
         return self._kernels.rotate(p, corner)
 
     def compose(self, p, q):
@@ -345,9 +392,15 @@ class _CountingOps:
 
 def _run_engine(kernels, bases, generators, bound):
     """The engine's raw members for values, and its bound, as the
-    constructors run it: a spatial run counts flat points."""
+    constructors run it: a spatial run counts flat points, and only a plain
+    run sizes its shapes by the class of its seed."""
     flat_bound = bound * getattr(bases[0], "levels", 1)
-    raw = _saturate([b._raw for b in bases], [g._raw for g in generators], flat_bound, kernels)
+    pair = noncrossing = False
+    if type(bases[0]) is Partition:
+        seed = [*bases, *generators]
+        pair, noncrossing = all(map(is_pair_partition, seed)), all(map(is_noncrossing, seed))
+    raw = _saturate([b._raw for b in bases], [g._raw for g in generators], flat_bound, kernels,
+                    _capacity(flat_bound, pair, noncrossing))
     return set(raw), flat_bound
 
 
@@ -384,6 +437,24 @@ class _Orbits:
         return frozenset({(p, q), (r[p], r[q]), (i[q], i[p]), (r[i[q]], r[i[p]])})
 
 
+def _shape_capacity(members, kernels):
+    """c(n), the most members a shape of n points can hold, for the smallest
+    of P, NC, P2 and NC2 that holds the raw plain `members`, by the counting
+    oracles; B(n) for colored and spatial members."""
+    values = [Partition._from_raw(x) for x in members] if kernels is _Plain else None
+    pair = values is not None and all(map(is_pair_partition, values))
+    noncrossing = values is not None and all(map(is_noncrossing, values))
+
+    def capacity(n):
+        if pair and n % 2:
+            return 0
+        if pair:
+            return catalan_number(n // 2) if noncrossing else double_factorial(n - 1)
+        return catalan_number(n) if noncrossing else bell_number(n)
+
+    return capacity
+
+
 def _compose_cover(members, bound, kernels, bases):
     """A test for raw compose pairs (p bottom, q top) whose result follows
     from smaller pairs, built from tensor over all member pairs: an empty
@@ -392,10 +463,11 @@ def _compose_cover(members, bound, kernels, bases):
     tensor of two nonempty members, one with no upper points, a top that is
     one with a factor with no lower points, or an interface that both sides
     split at the same position into members; or whose result shape, which
-    for k + l points holds at most B(k + l) members, is full in the final
-    members."""
+    for k + l points holds at most c(k + l) members of the members' class,
+    is full in the final members."""
     keys = kernels.keys
     filled = Counter(keys(x) for x in members)
+    capacity = _shape_capacity(members, kernels)
     upper_splits, lower_splits = defaultdict(set), defaultdict(set)
     identities = {e._raw for e in bases if e.upper_points == e.lower_points == 1}
     beside_identity = identities & members
@@ -425,7 +497,7 @@ def _compose_cover(members, bound, kernels, bases):
             or p in upper_one_row
             or q in lower_one_row
             or bool(upper_splits[p] & lower_splits[q])
-            or filled[keys(q)[0], keys(p)[1]] == bell_number(q[0] + _shape(p)[1])
+            or filled[keys(q)[0], keys(p)[1]] == capacity(q[0] + _shape(p)[1])
         )
 
     return covered
@@ -437,39 +509,40 @@ def _compose_cover(members, bound, kernels, bases):
         # {fork, identity, pair} @6: the 924 run.
         pytest.param(
             _Plain, [IDENTITY, PAIR], [FORK, IDENTITY, PAIR], 6,
-            (1_275, 385, 1_401, 396, 792, 1_078), id="nc6",
+            (1_275, 18, 749, 792, 396, 546), id="nc6",
         ),
         pytest.param(
             _Plain, [IDENTITY, PAIR], [FORK, CROSSING], 6,
-            (1_837, 661, 1_769, 566, 1_132, 1_558), id="all6",
+            (1_837, 661, 830, 1_132, 566, 787), id="all6",
         ),
         pytest.param(
             _Plain, [IDENTITY, PAIR], [CROSSING], 8,
-            (1_069, 5_077, 808, 337, 674, 944), id="pair8",
+            (1_069, 272, 255, 674, 337, 472), id="pair8",
         ),
         pytest.param(
             _Colored, colored_base_partitions(), [], 8,
-            (2_343, 6, 2_632, 630, 1_260, 2_068), id="col8",
+            (2_343, 6, 1_424, 1_260, 630, 1_034), id="col8",
         ),
         pytest.param(
             _Spatial, spatial_base_partitions(2), [lift_to_levels(FORK, 2)], 6,
-            (1_275, 2_472, 1_401, 396, 792, 1_078), id="sp6",
+            (1_275, 2_472, 749, 792, 396, 546), id="sp6",
         ),
         # {fork} @7: a larger run, where the full-shape rule saves most.
         pytest.param(
             _Plain, [IDENTITY, PAIR], [FORK], 7,
-            (4_707, 4_294, 5_497, 1_324, 2_648, 4_081), id="fork7",
+            (4_707, 64, 3_129, 2_648, 1_324, 2_065), id="fork7",
         ),
     ],
 )
 def test_engine_work_on_the_generate_jobs(kernels, bases, generators, bound, work):
     # The five jobs of the `generate` benchmark as it runs them, and one
-    # larger run: one pair per orbit, less the compose pairs the tensor and
-    # identity laws give and those whose result shape is already full.
-    # The bucketed partner lists may skip only over-bound pairs, never an
-    # evaluated one. One involution and two reflections per orbit visit each
-    # orbit once. Work is members / compose / tensor / involution / reflect /
-    # rotate.
+    # larger run: one pair per orbit, less the tensor pairs with the empty
+    # partition, the compose pairs the tensor and identity laws give and
+    # those whose result shape is already full for the seed's class. The
+    # bucketed partner lists may skip only over-bound pairs, never an
+    # evaluated one. Two involutions and one reflection per orbit visit each
+    # orbit once, and one top-left rotation runs per inverse pair. Work is
+    # members / compose / tensor / involution / reflect / rotate.
     counting = _CountingOps(kernels)
     members, _ = _run_engine(counting, bases, generators, bound)
     count, *calls = work
@@ -479,27 +552,47 @@ def test_engine_work_on_the_generate_jobs(kernels, bases, generators, bound, wor
     )
 
 
+_SMALL_RUNS = (
+    (_Plain, [IDENTITY, PAIR], [FORK], 5),
+    (_Plain, [IDENTITY, PAIR], [CROSSING, Partition([1], [1, 2])], 4),
+    (_Plain, [IDENTITY, PAIR], [FORK, Partition([1], [2])], 5),
+    (_Plain, [IDENTITY, PAIR], [Partition([], [1, 2])], 6),
+    (_Plain, [IDENTITY, PAIR], [Partition([1], [2])], 6),
+    (_Colored, colored_base_partitions(), [], 5),
+    (_Spatial, spatial_base_partitions(2), [lift_to_levels(FORK, 2)], 4),
+)
+
+
+def test_one_rotation_per_inverse_pair():
+    # tl(I tl(m)) == I m, so of each member m with upper points and
+    # I tl(m) the engine rotates exactly one, once, and nothing else.
+    for kernels, bases, gens, bound in _SMALL_RUNS:
+        counting = _CountingOps(kernels)
+        members, _ = _run_engine(counting, bases, gens, bound)
+        rotated = Counter(counting.rotated)
+        assert set(rotated.values()) == {1}
+        assert all(m[0] for m in rotated)
+        for m in members:
+            if m[0]:
+                mate = kernels.involution(kernels.rotate(m, "top-left"))
+                assert len({m, mate} & rotated.keys()) == 1, (type(bases[0]).__name__, m)
+
+
 def test_one_evaluation_per_orbit():
-    # Every tensor orbit is evaluated exactly once and no compose orbit
-    # twice. A compose orbit left out must have a pair whose result the laws
-    # give from smaller pairs, or whose result shape is full, by a check
-    # built from the final members alone.
-    for kernels, bases, gens, bound in (
-        (_Plain, [IDENTITY, PAIR], [FORK], 5),
-        (_Plain, [IDENTITY, PAIR], [CROSSING, Partition([1], [1, 2])], 4),
-        (_Plain, [IDENTITY, PAIR], [FORK, Partition([1], [2])], 5),
-        (_Plain, [IDENTITY, PAIR], [Partition([], [1, 2])], 6),
-        (_Plain, [IDENTITY, PAIR], [Partition([1], [2])], 6),
-        (_Colored, colored_base_partitions(), [], 5),
-        (_Spatial, spatial_base_partitions(2), [lift_to_levels(FORK, 2)], 4),
-    ):
+    # Every tensor orbit without the empty partition is evaluated exactly
+    # once, and no compose orbit twice; by the identity law a tensor with
+    # the empty partition is its other factor. A compose orbit left out must
+    # have a pair whose result the laws give from smaller pairs, or whose
+    # result shape is full, by a check built from the final members alone.
+    for kernels, bases, gens, bound in _SMALL_RUNS:
         kind = type(bases[0]).__name__
         counting = _CountingOps(kernels)
         members, flat_bound = _run_engine(counting, bases, gens, bound)
         orbits = _Orbits(members, flat_bound, kernels)
         tensors = Counter(orbits.of_tensor(p, q) for p, q in counting.pairs["tensor"])
         composes = Counter(orbits.of_compose(p, q) for p, q in counting.pairs["compose"])
-        assert set(tensors) == orbits.tensors, kind
+        with_empty = {o for o in orbits.tensors if any(not p[1] or not q[1] for p, q in o)}
+        assert set(tensors) == orbits.tensors - with_empty, kind
         assert set(tensors.values()) == {1}, kind
         assert set(composes) <= orbits.composes, kind
         assert set(composes.values()) == {1}, kind
@@ -542,9 +635,9 @@ def test_engine_calls_each_operation_from_closure_module():
     colored = tuple(f"colored_{op}" for op in variant_ops)
     spatial = tuple(f"spatial_{op}" for op in variant_ops)
     for module, names, counts, construct, args in (
-        ("ops", plain, (385, 1_401, 396, 792, 1_078), construct_closure, ([FORK, IDENTITY, PAIR], 6)),
-        ("variants", colored, (6, 2_632, 630, 1_260, 2_068), construct_colored_closure, ([], 8)),
-        ("variants", spatial, (2_472, 1_401, 396, 792, 1_078), construct_spatial_closure,
+        ("ops", plain, (18, 749, 792, 396, 546), construct_closure, ([FORK, IDENTITY, PAIR], 6)),
+        ("variants", colored, (6, 1_424, 1_260, 630, 1_034), construct_colored_closure, ([], 8)),
+        ("variants", spatial, (2_472, 749, 792, 396, 546), construct_spatial_closure,
          ([lift_to_levels(FORK, 2)], 6)),
     ):
         calls = _calls_from_closure(construct, *args)

@@ -29,6 +29,7 @@ from oracles import (
     has_even_blocks,
     is_free_unitary,
     merge_overlapping,
+    pair_partitions,
     reference_counts,
 )
 
@@ -104,6 +105,14 @@ def test_pair_counts_per_split():
         for k in range(total + 1):
             count = sum(1 for p in enumerate_all(k, total - k) if is_pair_partition(p))
             assert count == double_factorial(total - 1)
+
+
+def test_pair_partitions_match_the_filtered_enumeration():
+    for total in range(9):
+        for k in range(total + 1):
+            expected = {p for p in enumerate_all(k, total - k) if is_pair_partition(p)}
+            assert pair_partitions(k, total - k) == expected
+    assert len(pair_partitions(4, 6)) == double_factorial(9)
 
 
 def test_noncrossing_invariant_under_rotations_and_involution():
